@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import Dataset, SplitSpec, load_csv, normalize, split
 from .errors import DataError, NumericalError
-from .multiscale import _solve_coefficients, select_ks
+from .multiscale import _solve_coefficients, _vander, select_ks
 from .neighbors import knn_search_batch
 from .weights import SamworthParams, choose_a0, samworth_nonneg_weights, samworth_real_weights
 
@@ -127,30 +127,15 @@ def _estimates(
     if method in ("msknn-r", "msknn-log"):
         karr = np.asarray(ks)
         phi = csums[:, :, karr - 1] / karr  # (m, q, V)
-        C_eff = min(C, len(ks) - 1)
-        est = np.empty((n_q, m))
+        ncol = min(C, len(ks) - 1) + 1
         if method == "msknn-log":
-            p = np.log(karr.astype(np.float64))
-            design = np.vander(p, N=C_eff + 1, increasing=True)
-            solver = _ridge_row0(design, lam)
-            return np.einsum("mqv,v->qm", phi, solver)
-        for i in range(n_q):
-            p = np.square(dists[i, karr - 1])
-            design = np.vander(p, N=C_eff + 1, increasing=True)
-            coef, _, _ = _solve_coefficients(design, phi[:, i, :].T, lam, False)
-            est[i] = coef[0]
-        return est
+            # one design shared by every query: q*m right-hand sides
+            design = _vander(np.log(karr.astype(np.float64)), ncol)
+            rhs = phi.transpose(2, 1, 0).reshape(len(ks), n_q * m)
+            return _solve_coefficients(design, rhs, lam)[0][0].reshape(n_q, m)
+        design = _vander(np.square(dists[:, karr - 1]), ncol)  # (q, V, C+1)
+        return _solve_coefficients(design, phi.transpose(1, 2, 0), lam)[0][:, 0, :]
     raise ValueError(f"unknown method {method!r}")
-
-
-def _ridge_row0(design: np.ndarray, lam: float) -> np.ndarray:
-    """First row of the (ridge) solve operator restricted to the data rows."""
-    ncol = design.shape[1]
-    if lam > 0:
-        aug = np.vstack([design, np.sqrt(lam) * np.eye(ncol)[1:]])
-    else:
-        aug = design
-    return np.linalg.pinv(aug)[0, : len(design)]
 
 
 def run_benchmark(cfg: BenchConfig, verbose: bool = False) -> BenchReport:

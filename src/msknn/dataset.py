@@ -189,6 +189,11 @@ def load_csv(
                     f"{path}: row {i}, column {j}: non-numeric feature value {cell!r}"
                 ) from None
             feat += 1
+    bad = np.argwhere(~np.isfinite(points))
+    if len(bad):
+        i, feat = bad[0]
+        j = feat + (feat >= label_idx)
+        raise DataError(f"{path}: row {i}, column {j}: non-finite feature value {rows[i][j]!r}")
 
     mapping: dict[str, int] = {}
     labels = np.empty(len(rows), dtype=np.int64)

