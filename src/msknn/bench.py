@@ -108,12 +108,17 @@ def _estimates(
     d: int,
     C: int,
     lam: float,
-) -> np.ndarray:
-    """Per-class estimates (q, m) for a batch of queries."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class estimates (q, m) for a batch of queries, and a (q,) flag.
+
+    The flag marks the queries whose extrapolation design is rank-deficient.
+    At lam = 0 those get the minimum-norm fit instead of failing the batch.
+    """
     m, n_q, _ = csums.shape
     k_base = ks[-1]
+    unflagged = np.zeros(n_q, dtype=bool)
     if method == "uniform":
-        return csums[:, :, k_base - 1].T / k_base
+        return csums[:, :, k_base - 1].T / k_base, unflagged
     if method in ("snn", "srw"):
         if method == "snn":
             w = samworth_nonneg_weights(k_base, d).weights
@@ -123,7 +128,7 @@ def _estimates(
         # estimate = w . onehot = sum_i w_i * diff(csum)_i, via a dot with
         # the increments of the cumulative counts
         incr = np.diff(csums[:, :, :k_base], axis=2, prepend=0)
-        return np.einsum("mqk,k->qm", incr, w)
+        return np.einsum("mqk,k->qm", incr, w), unflagged
     if method in ("msknn-r", "msknn-log"):
         karr = np.asarray(ks)
         phi = csums[:, :, karr - 1] / karr  # (m, q, V)
@@ -132,9 +137,11 @@ def _estimates(
             # one design shared by every query: q*m right-hand sides
             design = _vander(np.log(karr.astype(np.float64)), ncol)
             rhs = phi.transpose(2, 1, 0).reshape(len(ks), n_q * m)
-            return _solve_coefficients(design, rhs, lam)[0][0].reshape(n_q, m)
+            coef, _, flag = _solve_coefficients(design, rhs, lam, min_norm=True)
+            return coef[0].reshape(n_q, m), np.full(n_q, flag)
         design = _vander(np.square(dists[:, karr - 1]), ncol)  # (q, V, C+1)
-        return _solve_coefficients(design, phi.transpose(1, 2, 0), lam)[0][:, 0, :]
+        coef, _, flags = _solve_coefficients(design, phi.transpose(1, 2, 0), lam, min_norm=True)
+        return coef[:, 0, :], flags
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -148,19 +155,23 @@ def run_benchmark(cfg: BenchConfig, verbose: bool = False) -> BenchReport:
             report.diagnostics.append(f"{name}: skipped ({exc})")
             continue
         try:
-            rows = _bench_dataset(name, data, cfg, verbose)
+            rows, notes = _bench_dataset(name, data, cfg, verbose)
         except (DataError, NumericalError) as exc:
             report.diagnostics.append(f"{name}: skipped ({exc})")
             continue
         report.rows.extend(rows)
+        report.diagnostics.extend(notes)
     return report
 
 
 def _bench_dataset(
     name: str, data: Dataset, cfg: BenchConfig, verbose: bool
-) -> list[BenchRow]:
+) -> tuple[list[BenchRow], list[str]]:
+    """The report rows of one dataset, and a rank-deficiency count per msknn method."""
     accs = {meth: [] for meth in cfg.methods}
     secs = {meth: 0.0 for meth in cfg.methods}
+    rank_deficient = {meth: 0 for meth in cfg.methods}
+    n_queries = 0
     for rep in range(cfg.repeats):
         spec = SplitSpec(cfg.train_fraction, cfg.base_seed + rep)
         train, test = split(data, spec)
@@ -179,26 +190,33 @@ def _bench_dataset(
         if verbose and rep == 0 and any(m.startswith("msknn") for m in cfg.methods):
             from .multiscale import MsknnConfig, msknn_fit
 
-            fit = msknn_fit(
-                train_norm.points,
-                test_pts[0],
-                (train.labels == 0).astype(float),
-                MsknnConfig(V=cfg.V, C=cfg.C, lam=cfg.lam),
-            )
-            zmax = f", max|z|={np.abs(fit.z).max():.3g}" if fit.z is not None else ""
-            print(
-                f"# {name} fit diagnostics (first query): cond={fit.cond:.3g}, "
-                f"rank_deficient={fit.rank_deficient}{zmax}",
-                file=sys.stderr,
-            )
+            try:
+                fit = msknn_fit(
+                    train_norm.points,
+                    test_pts[0],
+                    (train.labels == 0).astype(float),
+                    MsknnConfig(V=cfg.V, C=cfg.C, lam=cfg.lam),
+                )
+            except NumericalError as exc:
+                # the single-query fit raises at lam = 0 where the batch degrades
+                print(f"# {name} fit diagnostics (first query): {exc}", file=sys.stderr)
+            else:
+                zmax = f", max|z|={np.abs(fit.z).max():.3g}" if fit.z is not None else ""
+                print(
+                    f"# {name} fit diagnostics (first query): cond={fit.cond:.3g}, "
+                    f"rank_deficient={fit.rank_deficient}{zmax}",
+                    file=sys.stderr,
+                )
 
+        n_queries += test.n
         for meth in cfg.methods:
             t0 = time.perf_counter()
-            est = _estimates(meth, csums, dists, ks, data.d, cfg.C, cfg.lam)
+            est, flags = _estimates(meth, csums, dists, ks, data.d, cfg.C, cfg.lam)
             pred = np.argmax(est, axis=1)
             acc = float((pred == test.labels).mean())
             secs[meth] += time.perf_counter() - t0 + search_share
             accs[meth].append(acc)
+            rank_deficient[meth] += int(flags.sum())
             if verbose:
                 print(f"# {name} rep={rep} {meth}: acc={acc:.4f}", file=sys.stderr)
 
@@ -219,7 +237,12 @@ def _bench_dataset(
                 accuracies=tuple(a),
             )
         )
-    return rows
+    notes = [
+        f"{name} {meth}: {rank_deficient[meth]} of {n_queries} queries had a rank-deficient design"
+        for meth in cfg.methods
+        if meth.startswith("msknn")
+    ]
+    return rows, notes
 
 
 def bundled_path(name: str) -> Path:

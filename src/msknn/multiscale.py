@@ -166,7 +166,12 @@ def _suffix_weights(z: np.ndarray, ks) -> np.ndarray:
 
 
 def _solve_coefficients(
-    design: np.ndarray, phi: np.ndarray, lam: float, penalize_intercept: bool = False
+    design: np.ndarray,
+    phi: np.ndarray,
+    lam: float,
+    penalize_intercept: bool = False,
+    *,
+    min_norm: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Penalized least squares for a stack of designs, by one batched SVD.
 
@@ -175,7 +180,8 @@ def _solve_coefficients(
     for each design. The solution is the pseudoinverse of the designs with
     rows sqrt(lam) * I appended (no intercept row unless penalize_intercept),
     dropping the singular values lstsq drops. At lam = 0 a rank-deficient
-    design raises instead of returning a minimum-norm fit.
+    design raises, unless min_norm is set: then its minimum-norm fit is
+    returned and flagged, so a batch degrades per design.
     """
     design = np.asarray(design, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
@@ -196,7 +202,7 @@ def _solve_coefficients(
         rank_deficient = np.count_nonzero(sd > sd[..., :1] * (max(V, ncol) * eps), axis=-1) < ncol
     else:
         rank_deficient = np.count_nonzero(keep, axis=-1) < ncol
-        if np.any(rank_deficient):
+        if np.any(rank_deficient) and not min_norm:
             bad = np.argwhere(rank_deficient)[0] if rank_deficient.ndim else ()
             dup = _duplicate_scales(design[tuple(bad)])
             raise NumericalError(

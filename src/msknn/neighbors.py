@@ -1,8 +1,16 @@
-"""Exact Euclidean nearest-neighbour ordering for a query.
+"""Exact Euclidean nearest-neighbour ordering for a query or a batch.
 
-Brute force with partial selection: squared distances are compared, ties are
-broken by ascending training index, and square roots are taken only for the
-distances that leave this module.
+Squared distances are compared, ties are broken by ascending training index,
+and square roots are taken only for the distances that leave this module.
+Every such distance is computed as np.square(q - p).sum(-1), so the two
+searches agree bit for bit, near-ties included.
+
+`knn_search` (one query) is brute force with partial selection.
+`knn_search_batch` prunes with GEMM-style approximate distances
+|p|^2 - 2 q.p, keeps every point within a proven floating-point bound of
+the k_max-th, and orders only those candidates with the exact arithmetic;
+its docstring gives the bound. It builds no (queries, n, d) tensor and
+sorts no full row of n distances.
 """
 
 from __future__ import annotations
@@ -63,30 +71,122 @@ def knn_search_batch(train, queries: np.ndarray, k_max: int) -> tuple[np.ndarray
     """Neighbour orderings for many queries at once.
 
     Returns (indices, distances), each of shape (n_queries, k_max), row i
-    agreeing exactly with knn_search(train, queries[i], k_max). Distances use
-    the same arithmetic as the single-query path so the two never disagree on
-    near-ties.
+    agreeing exactly with knn_search(train, queries[i], k_max): the first
+    k_max of a stable sort of the squared distances, ties in index order.
+
+    Queries go in blocks of about 2e6 / n rows, so that each block's
+    (rows, n) temporaries hold about 2e6 float64. A block takes three steps.
+
+    1. Prune. One GEMM gives a = |p|^2 - 2 q.p for every pair, the squared
+       distance less the row constant |q|^2, on points and queries centred
+       on the training mean (centring keeps the bound below tight on
+       uncentred data). An argpartition finds each row's k_max-th smallest
+       a, called A.
+    2. Keep the candidates: every point with a <= A + slack, where
+       slack = 8 (d + 8) eps (max |p|^2 + |q|^2 + tiny), norms taken after
+       centring. In the common case the (k_max+1)-th smallest a already
+       exceeds A + slack and the k_max partitioned points are the
+       candidates. Only rows with ties or near-ties at the k_max-th
+       distance take a second argpartition, wide enough to keep them all;
+       the block's other rows then keep as many from their first one.
+    3. Order exactly. The candidates' squared distances are recomputed with
+       this module's arithmetic, np.square(q - p).sum(-1); the candidates
+       are put in index order, stable-argsorted by distance, and the first
+       k_max kept. Every distance that leaves this function is therefore
+       bit-identical to the single-query and full-sort paths.
+
+    Why the candidates hold the answer. Let e be the squared distance of
+    step 3 and a' = a + |q|^2. With unit roundoff u = eps / 2,
+    S = |p|^2 + |q|^2 (centred) and gamma_n = n u / (1 - n u), the
+    dot-product bound gives |a' - t'| <= (2 gamma_{d+1} + gamma_d) S, for t'
+    the true squared distance of the rounded centred points. Centring
+    moves the true distance by at most 4 u S and step 3 errs by at most
+    (2 gamma_d + 6 u) S, so |a' - e| <= b = (5 d + 12) u S to first order.
+    Gradual underflow adds at most u * tiny per product, 3 d of them. A
+    point among the true k_max nearest has e <= E, the true k_max-th
+    distance, and E <= A + |q|^2 + b because k_max points have a <= A; so
+    it has a <= A + 2 b. The slack, (8 d + 64) eps (S + tiny), exceeds
+    2 b = (5 d + 12) eps S and the underflow term for every d, with room
+    for the rounding of A + slack itself. So the candidates include the
+    true k_max nearest, every other candidate sorts after them by
+    (e, index), and the first k_max candidates are the answer. A row whose
+    norms overflow has a non-finite bound and keeps every point.
     """
     points = _points_of(train)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    n = len(points)
-    if queries.ndim != 2 or queries.shape[1] != points.shape[1]:
-        raise ValueError(f"queries have shape {queries.shape}, expected (n_queries, {points.shape[1]})")
+    n, d = points.shape
+    if queries.ndim != 2 or queries.shape[1] != d:
+        raise ValueError(f"queries have shape {queries.shape}, expected (n_queries, {d})")
     if not 1 <= k_max <= n:
         raise ValueError(f"k_max={k_max} out of range for {n} training points")
-
     n_q = len(queries)
+    if k_max == n:
+        # nothing to prune: every point is a candidate
+        idx, d2 = _order_exactly(points, queries, np.broadcast_to(np.arange(n), (n_q, n)), k_max)
+        return idx, np.sqrt(d2)
+
+    mean = points.mean(axis=0)
+    centred = points - mean
+    p_norm = np.einsum("ij,ij->i", centred, centred)
+    q_centred = queries - mean
+    finfo = np.finfo(np.float64)
+    slack = 8 * (d + 8) * finfo.eps * (
+        p_norm.max() + np.einsum("ij,ij->i", q_centred, q_centred) + finfo.tiny
+    )
+    # [q, 1] @ [-2p, |p|^2]^T is |p|^2 - 2 q.p in one GEMM
+    lhs = np.column_stack([q_centred, np.ones(n_q)])
+    rhs = np.column_stack([-2.0 * centred, p_norm]).T.copy()
+
     indices = np.empty((n_q, k_max), dtype=np.intp)
     dist = np.empty((n_q, k_max), dtype=np.float64)
-    block = max(1, int(2e7 // max(1, n * points.shape[1])))
+    block = max(1, 2_000_000 // n)
     for start in range(0, n_q, block):
-        q = queries[start : start + block]
-        d2 = np.square(q[:, None, :] - points[None, :, :]).sum(axis=2)
-        # stable argsort keeps equal keys in index order, which is the tie rule
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k_max]
-        indices[start : start + block] = order
-        dist[start : start + block] = np.take_along_axis(d2, order, axis=1)
+        rows = slice(start, start + block)
+        cand = _prune(lhs[rows], rhs, k_max, slack[rows])
+        indices[rows], dist[rows] = _order_exactly(points, queries[rows], cand, k_max)
     return indices, np.sqrt(dist)
+
+
+def _prune(lhs, rhs, k_max, slack):
+    """Steps 1 and 2 of knn_search_batch: candidates (rows, width) for a block.
+
+    width is k_max unless some row is tied at the k_max-th distance; then it
+    is what the widest tied row needs, and the other rows keep extra
+    candidates, which step 3 sorts after their true k_max nearest. The
+    (rows, n) temporaries are freed on return, before step 3 allocates.
+    """
+    approx = lhs @ rhs
+    part = np.argpartition(approx, k_max, axis=1)
+    head = np.take_along_axis(approx, part[:, : k_max + 1], axis=1)
+    limit = head[:, :k_max].max(axis=1) + slack
+    # "not a > limit" also holds for NaN: a non-finite bound keeps every point
+    tied = ~(head[:, k_max] > limit)
+    wide = approx[tied]
+    width = int(np.count_nonzero(~(wide > limit[tied, None]), axis=1).max(initial=k_max))
+    cand = part[:, :width].copy()
+    cand[tied] = np.argpartition(wide, width - 1, axis=1)[:, :width]
+    return cand
+
+
+def _order_exactly(points, queries, cand, k_max):
+    """Step 3 of knn_search_batch: the first k_max candidates by (squared distance, index).
+
+    Rows go in chunks whose (rows, candidates, d) difference tensor holds
+    about 2e6 float64.
+    """
+    n_q, width = cand.shape
+    idx = np.empty((n_q, k_max), dtype=np.intp)
+    d2 = np.empty((n_q, k_max), dtype=np.float64)
+    step = max(1, 2_000_000 // (width * points.shape[1]))
+    for start in range(0, n_q, step):
+        rows = slice(start, start + step)
+        c = np.sort(cand[rows], axis=1)
+        full = np.square(queries[rows, None, :] - points.take(c, axis=0)).sum(axis=2)
+        # stable argsort keeps equal keys in index order, which is the tie rule
+        order = np.argsort(full, axis=1, kind="stable")[:, :k_max]
+        idx[rows] = np.take_along_axis(c, order, axis=1)
+        d2[rows] = np.take_along_axis(full, order, axis=1)
+    return idx, d2
 
 
 def radius_at(nl: NeighborList, k: int) -> float:

@@ -108,7 +108,7 @@ class TestBatchAgreesWithPerQuery:
         csums = _class_cumsums(train.labels[idx], data.m)
         cfg = MsknnConfig(V=5, C=1, lam=1e-4)
         for meth, predictor in (("msknn-r", "radius"), ("msknn-log", "log_k")):
-            est = _estimates(meth, csums, dists, ks, data.d, 1, 1e-4)
+            est, _ = _estimates(meth, csums, dists, ks, data.d, 1, 1e-4)
             batch_pred = np.argmax(est, axis=1)
             c = MsknnConfig(V=5, C=1, lam=1e-4, predictor=predictor)
             for i in range(0, test.n, 5):
@@ -126,7 +126,7 @@ class TestBatchAgreesWithPerQuery:
         ks = select_ks(train.n, data.d, 5)
         idx, dists = knn_search_batch(train_norm.points, test_pts, ks[-1])
         csums = _class_cumsums(train.labels[idx], data.m)
-        est = _estimates("uniform", csums, dists, ks, data.d, 1, 1e-4)
+        est, _ = _estimates("uniform", csums, dists, ks, data.d, 1, 1e-4)
         for i in range(0, test.n, 7):
             nl = knn_search(train_norm.points, test_pts[i], ks[-1])
             for c in range(data.m):
@@ -234,3 +234,27 @@ class TestNonFiniteFeatures:
         err = capsys.readouterr().err
         assert f"{path}: row 17, column 1: non-finite feature value '{cell}'" in err
         assert "SVD" not in err and "DLASCL" not in err
+
+
+class TestSingularQueriesDegradePerQuery:
+    def test_lambda_zero_grid_reports_every_method(self, tmp_path, capsys):
+        # 3x3 integer grid: tied radii make many lambda = 0 designs singular
+        rng = np.random.default_rng(0)
+        pts = rng.integers(0, 3, size=(300, 2))
+        labels = (pts.sum(axis=1) + rng.integers(0, 2, 300)) % 2
+        path = tmp_path / "grid.csv"
+        np.savetxt(path, np.column_stack([pts, labels]), fmt="%d", delimiter=",")
+        for verbose in ([], ["--verbose"]):
+            assert main(["bench", "--data", str(path), "--lambda", "0", "--C", "4", *verbose]) == 0
+            captured = capsys.readouterr()
+            methods = [line.split(",")[4] for line in captured.out.splitlines()[1:]]
+            assert sorted(methods) == sorted(["uniform", "snn", "srw", "msknn-r", "msknn-log"])
+            assert "skipped" not in captured.err
+            counts = {}
+            for line in captured.err.splitlines():
+                if "rank-deficient design" in line:
+                    meth, rest = line.removeprefix("# grid ").split(": ")
+                    counts[meth] = int(rest.split(" of ")[0])
+                    assert rest.split(" of ")[1].startswith("900 queries")
+            assert set(counts) == {"msknn-r", "msknn-log"}
+            assert counts["msknn-r"] > 0 and counts["msknn-log"] == 0

@@ -1,8 +1,14 @@
 """Exact neighbour search against a full-sort oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from msknn.bench import METHODS, _class_cumsums, _estimates
+from msknn.multiscale import select_ks
 from msknn.neighbors import knn_search, knn_search_batch, radius_at
 
 
@@ -11,6 +17,15 @@ def sort_oracle(points, query, k_max):
     d2 = np.square(points - query).sum(axis=1)
     order = np.lexsort((np.arange(len(points)), d2))[:k_max]
     return order, np.sqrt(d2[order])
+
+
+def assert_matches_oracle(points, queries, k_max):
+    idx, dist = knn_search_batch(points, queries, k_max)
+    assert idx.shape == dist.shape == (len(queries), k_max)
+    for i, q in enumerate(queries):
+        o_idx, o_dist = sort_oracle(points, q, k_max)
+        np.testing.assert_array_equal(idx[i], o_idx)
+        np.testing.assert_array_equal(dist[i], o_dist)
 
 
 class TestKnnSearch:
@@ -95,3 +110,90 @@ class TestBatch:
         for bad in (np.zeros((3, 3)), np.zeros(3), np.zeros((2, 2, 2))):
             with pytest.raises(ValueError, match="expected \\(n_queries, 2\\)"):
                 knn_search_batch(pts, bad, 2)
+
+
+@st.composite
+def search_cases(draw):
+    """Tie-heavy grids or points a few ulps apart, shifted or scaled, any k_max.
+
+    The offsets and scales are where the pruning bound of knn_search_batch
+    is widest relative to the gaps between distances.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 60))
+    n_q = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        # integer grid with duplicated rows: exact ties at every distance
+        points = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+        queries = rng.integers(-2, 3, size=(n_q, d)).astype(np.float64)
+        dup = rng.integers(0, n, size=n // 3)
+        points[rng.integers(0, n, size=len(dup))] = points[dup]
+    else:
+        # 1-3 ulp steps around a random base: near-ties in the last bits
+        base = rng.normal(size=d)
+        step = np.spacing(base)
+        points = base + rng.integers(-3, 4, size=(n, d)) * step
+        queries = base + rng.integers(-3, 4, size=(n_q, d)) * step
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    scale = draw(st.sampled_from([1.0, 1e-6]))
+    k_max = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    return points * scale + offset, queries * scale + offset, k_max
+
+
+class TestBatchAgainstOracle:
+    @settings(max_examples=300)
+    @given(search_cases())
+    def test_equals_full_stable_sort(self, case):
+        assert_matches_oracle(*case)
+
+    def test_blocks_with_ragged_last_block(self):
+        # n = 20 000 puts 100 queries in a block: 250 queries are 100 + 100 + 50
+        rng = np.random.default_rng(3)
+        points = rng.integers(0, 10, size=(20_000, 3)).astype(np.float64)
+        points[:5000] = rng.normal(size=(5000, 3)) * 3 + 4.5
+        queries = np.vstack([
+            rng.integers(0, 10, size=(125, 3)).astype(np.float64),
+            rng.normal(size=(125, 3)) * 3 + 4.5,
+        ])
+        assert_matches_oracle(points, queries, 40)
+
+    def test_peak_memory_far_below_difference_tensor(self):
+        rng = np.random.default_rng(0)
+        n, n_q, d = 20_000, 500, 8
+        points, queries = rng.normal(size=(n, d)), rng.normal(size=(n_q, d))
+        tracemalloc.start()
+        try:
+            knn_search_batch(points, queries, 95)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a (q, n, d) float64 difference tensor would be 8 q n d bytes (640 MB)
+        assert peak < 8 * n_q * n * d / 8
+
+
+class TestPermutationInvariance:
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(20, 150), st.integers(1, 5))
+    def test_permuting_training_rows(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(n, d))
+        labels = rng.integers(0, 3, size=n)
+        queries = rng.normal(size=(7, d))
+        ks = select_ks(n, d, 5)
+        k_max = ks[-1]
+        d2 = np.sort(np.square(points[None, :, :] - queries[:, None, :]).sum(axis=2), axis=1)
+        assume(np.all(np.diff(d2[:, : k_max + 1], axis=1) > 0))  # no distance ties
+        perm = rng.permutation(n)
+
+        idx, dist = knn_search_batch(points, queries, k_max)
+        p_idx, p_dist = knn_search_batch(points[perm], queries, k_max)
+        np.testing.assert_array_equal(perm[p_idx], idx)
+        np.testing.assert_array_equal(p_dist, dist)
+
+        csums = _class_cumsums(labels[idx], 3)
+        p_csums = _class_cumsums(labels[perm][p_idx], 3)
+        for method in METHODS:
+            est, _ = _estimates(method, csums, dist, ks, d, 1, 1e-4)
+            p_est, _ = _estimates(method, p_csums, p_dist, ks, d, 1, 1e-4)
+            np.testing.assert_array_equal(p_est, est)

@@ -133,7 +133,7 @@ class TestBatchedPathsMatchPerQueryFits:
         csums = _class_cumsums(labels[idx], 3)
         karr = np.asarray(ks)
         for method in ("msknn-r", "msknn-log"):
-            est = _estimates(method, csums, dists, ks, train.shape[1], C, lam)
+            est, _ = _estimates(method, csums, dists, ks, train.shape[1], C, lam)
             for i in range(len(queries)):
                 p = np.square(dists[i, karr - 1]) if method == "msknn-r" else np.log(karr)
                 design = np.vander(p, N=C + 1, increasing=True)
