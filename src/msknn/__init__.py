@@ -7,7 +7,7 @@ lab for the bias expansion and convergence-rate behaviour, and a benchmark
 CLI live in the submodules.
 """
 
-from .dataset import Dataset, NormStats, SplitSpec, load_csv, normalize, apply_stats, split
+from .dataset import Dataset, NormStats, SplitSpec, load_csv, normalize, split
 from .errors import DataError, NumericalError
 from .estimators import (
     WeightVector,
@@ -31,7 +31,6 @@ from .neighbors import NeighborList, knn_search, knn_search_batch, radius_at
 from .weights import (
     SamworthParams,
     choose_a0,
-    delta,
     delta_array,
     samworth_nonneg_weights,
     samworth_real_weights,
@@ -50,13 +49,13 @@ from .theory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "NormStats", "SplitSpec", "load_csv", "normalize", "apply_stats", "split",
+    "Dataset", "NormStats", "SplitSpec", "load_csv", "normalize", "split",
     "DataError", "NumericalError",
     "WeightVector", "classify_multiclass", "plugin_classify", "unweighted_knn", "weighted_knn",
     "MsknnConfig", "MsknnFit", "build_design", "fit_extrapolate", "implicit_weights",
     "msknn_classify", "msknn_estimate", "msknn_fit", "select_ks",
     "NeighborList", "knn_search", "knn_search_batch", "radius_at",
-    "SamworthParams", "choose_a0", "delta", "delta_array",
+    "SamworthParams", "choose_a0", "delta_array",
     "samworth_nonneg_weights", "samworth_real_weights",
     "BenchConfig", "BenchReport", "bundled_path", "run_benchmark",
     "RateTable", "SyntheticProblem", "analytic_b1", "eta_infinity",

@@ -10,6 +10,11 @@ multiscale methods split it into V equal scales.
 Predictions are one-vs-rest argmax over per-class estimates for every method
 (ties to the smallest class id), which reduces to thresholding at 1/2 for
 binary problems except on exact ties.
+
+`_estimates` is the one batched scorer of the package: every method is a
+weighted ratio of the ordered neighbour labels, computed from their
+cumulative counts, for scales shared by the batch or chosen per query. The
+rates lab (`theory._predict_binary`) scores its five methods through it.
 """
 
 from __future__ import annotations
@@ -104,44 +109,51 @@ def _estimates(
     method: str,
     csums: np.ndarray,
     dists: np.ndarray,
-    ks: list[int],
+    ks: list[int] | np.ndarray,
     d: int,
     C: int,
     lam: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-class estimates (q, m) for a batch of queries, and a (q,) flag.
 
-    The flag marks the queries whose extrapolation design is rank-deficient.
-    At lam = 0 those get the minimum-norm fit instead of failing the batch.
+    csums holds the cumulative label counts along the neighbour axis, shape
+    (m, q, k). ks is (V,) scales shared by every query or (q, V) scales per
+    query; the fixed-scale methods use the last scale of each query, the
+    msknn methods extrapolate over all V. The flag marks the queries whose
+    extrapolation design is rank-deficient. At lam = 0 those get the
+    minimum-norm fit instead of failing the batch.
     """
     m, n_q, _ = csums.shape
-    k_base = ks[-1]
+    karr = np.asarray(ks)
+    kq = np.broadcast_to(karr, (n_q, karr.shape[-1]))
     unflagged = np.zeros(n_q, dtype=bool)
     if method == "uniform":
-        return csums[:, :, k_base - 1].T / k_base, unflagged
+        k_base = kq[:, -1:]
+        return np.take_along_axis(csums, k_base[None] - 1, axis=2)[..., 0].T / k_base, unflagged
     if method in ("snn", "srw"):
-        if method == "snn":
-            w = samworth_nonneg_weights(k_base, d).weights
-        else:
-            a0 = choose_a0(k_base, d) if k_base >= 2 else 1.0
-            w = samworth_real_weights(SamworthParams(k_base, d, a0)).weights
-        # estimate = w . onehot = sum_i w_i * diff(csum)_i, via a dot with
-        # the increments of the cumulative counts
-        incr = np.diff(csums[:, :, :k_base], axis=2, prepend=0)
-        return np.einsum("mqk,k->qm", incr, w), unflagged
+        est = np.empty((n_q, m))
+        for k_base in np.unique(kq[:, -1]).tolist():
+            if method == "snn":
+                w = samworth_nonneg_weights(k_base, d).weights
+            else:
+                a0 = choose_a0(k_base, d) if k_base >= 2 else 1.0
+                w = samworth_real_weights(SamworthParams(k_base, d, a0)).weights
+            rows = kq[:, -1] == k_base
+            # estimate = w . onehot = sum_i w_i * diff(csum)_i; a matmul, whose
+            # sums match w @ labels bit for bit (einsum's need not)
+            incr = csums[:, rows, :k_base]
+            incr[..., 1:] -= csums[:, rows, : k_base - 1]
+            est[rows] = (incr @ w).T
+        return est, unflagged
     if method in ("msknn-r", "msknn-log"):
-        karr = np.asarray(ks)
-        phi = csums[:, :, karr - 1] / karr  # (m, q, V)
-        ncol = min(C, len(ks) - 1) + 1
-        if method == "msknn-log":
-            # one design shared by every query: q*m right-hand sides
-            design = _vander(np.log(karr.astype(np.float64)), ncol)
-            rhs = phi.transpose(2, 1, 0).reshape(len(ks), n_q * m)
-            coef, _, flag = _solve_coefficients(design, rhs, lam, min_norm=True)
-            return coef[0].reshape(n_q, m), np.full(n_q, flag)
-        design = _vander(np.square(dists[:, karr - 1]), ncol)  # (q, V, C+1)
+        phi = np.take_along_axis(csums, kq[None] - 1, axis=2) / kq  # (m, q, V)
+        if method == "msknn-r":
+            p = np.square(np.take_along_axis(dists, kq - 1, axis=1))
+        else:
+            p = np.log(karr.astype(np.float64))  # a (V,) design is shared by every query
+        design = _vander(p, min(C, kq.shape[1] - 1) + 1)
         coef, _, flags = _solve_coefficients(design, phi.transpose(1, 2, 0), lam, min_norm=True)
-        return coef[:, 0, :], flags
+        return coef[:, 0, :], np.broadcast_to(flags, n_q)
     raise ValueError(f"unknown method {method!r}")
 
 

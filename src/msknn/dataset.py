@@ -91,30 +91,6 @@ class NormStats:
         safe = np.where(self.scale > 0, self.scale, 1.0)
         return np.where(self.scale > 0, (points - self.mean) / safe, 0.0)
 
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"method={self.method}\n")
-            f.write("mean=" + " ".join(repr(float(v)) for v in self.mean) + "\n")
-            f.write("scale=" + " ".join(repr(float(v)) for v in self.scale) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "NormStats":
-        fields: dict[str, str] = {}
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    key, _, value = line.partition("=")
-                    fields[key] = value
-        try:
-            return cls(
-                mean=np.array([float(v) for v in fields["mean"].split()]),
-                scale=np.array([float(v) for v in fields["scale"].split()]),
-                method=fields.get("method", "zscore"),
-            )
-        except (KeyError, ValueError) as exc:
-            raise DataError(f"malformed normalization file {path}: {exc}") from exc
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -225,11 +201,6 @@ def normalize(data: Dataset, method: str = "zscore") -> tuple[Dataset, NormStats
     stats = NormStats(mean=mean, scale=scale, method=method)
     out = Dataset(stats.transform(data.points), data.labels, data.n_classes, data.label_names)
     return out, stats
-
-
-def apply_stats(data: Dataset, stats: NormStats) -> Dataset:
-    """Transform a dataset with previously-fitted normalization stats."""
-    return Dataset(stats.transform(data.points), data.labels, data.n_classes, data.label_names)
 
 
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

@@ -43,8 +43,7 @@ class MsknnConfig:
 
     ks=None means the arithmetic rule k_v = v * floor(n^{4/(4+d)}); an
     explicit tuple overrides it (values must be strictly increasing).
-    lam penalizes the non-intercept coefficients only, unless
-    penalize_intercept is set.
+    lam penalizes the non-intercept coefficients only.
     """
 
     V: int = 5
@@ -52,7 +51,6 @@ class MsknnConfig:
     lam: float = 1e-4
     predictor: str = "radius"
     ks: tuple[int, ...] | None = None
-    penalize_intercept: bool = False
 
     def __post_init__(self):
         if self.ks is not None:
@@ -169,7 +167,6 @@ def _solve_coefficients(
     design: np.ndarray,
     phi: np.ndarray,
     lam: float,
-    penalize_intercept: bool = False,
     *,
     min_norm: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,10 +175,11 @@ def _solve_coefficients(
     design (..., V, C+1) and phi (..., V, r) give coefficients (..., C+1, r),
     the condition number of each solved system and a rank-deficiency flag
     for each design. The solution is the pseudoinverse of the designs with
-    rows sqrt(lam) * I appended (no intercept row unless penalize_intercept),
-    dropping the singular values lstsq drops. At lam = 0 a rank-deficient
-    design raises, unless min_norm is set: then its minimum-norm fit is
-    returned and flagged, so a batch degrades per design.
+    rows sqrt(lam) * I appended (none for the intercept), dropping the
+    singular values lstsq drops. A (V, C+1) design is shared by a whole
+    (..., V, r) stack of phi. At lam = 0 a rank-deficient design raises,
+    unless min_norm is set: then its minimum-norm fit is returned and
+    flagged, so a batch degrades per design.
     """
     design = np.asarray(design, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
@@ -191,10 +189,9 @@ def _solve_coefficients(
     eps = np.finfo(np.float64).eps
     aug = design
     if lam > 0:
-        first = 0 if penalize_intercept else 1
-        aug = np.zeros(design.shape[:-2] + (V + ncol - first, ncol))
+        aug = np.zeros(design.shape[:-2] + (V + ncol - 1, ncol))
         aug[..., :V, :] = design
-        aug[..., np.arange(V, V + ncol - first), np.arange(first, ncol)] = np.sqrt(lam)
+        aug[..., np.arange(V, V + ncol - 1), np.arange(1, ncol)] = np.sqrt(lam)
     u, s, vt = np.linalg.svd(aug, full_matrices=False)
     keep = s > s[..., :1] * (max(aug.shape[-2:]) * eps)
     if lam > 0:
@@ -222,14 +219,13 @@ def fit_extrapolate(
     lam: float,
     *,
     ks=None,
-    penalize_intercept: bool = False,
 ) -> MsknnFit:
     """Solve the (optionally ridge-penalized) extrapolation regression.
 
-    The intercept is never penalized unless asked: shrinking b_0 toward 0
-    would bias the estimate itself rather than just the curvature terms.
-    With lam = 0 an exactly singular design raises instead of silently
-    returning a minimum-norm solution.
+    The intercept is never penalized: shrinking b_0 toward 0 would bias the
+    estimate itself rather than just the curvature terms. With lam = 0 an
+    exactly singular design raises instead of silently returning a
+    minimum-norm solution.
     """
     design = np.asarray(design, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
@@ -238,7 +234,7 @@ def fit_extrapolate(
     if lam < 0:
         raise ValueError("lambda must be non-negative")
 
-    coef, cond, rank_deficient = _solve_coefficients(design, phi[:, None], lam, penalize_intercept)
+    coef, cond, rank_deficient = _solve_coefficients(design, phi[:, None], lam)
 
     z = w_star = None
     if lam == 0:
@@ -307,9 +303,7 @@ def msknn_fit(train, query, labels01: np.ndarray, cfg: MsknnConfig) -> MsknnFit:
     points, ks, cfg = _resolve(train, cfg)
     nl = knn_search(points, query, ks[-1])
     design, phi = build_design(nl, labels01, ks, cfg)
-    fit = fit_extrapolate(
-        design, phi, cfg.lam, ks=ks, penalize_intercept=cfg.penalize_intercept
-    )
+    fit = fit_extrapolate(design, phi, cfg.lam, ks=ks)
     return replace(fit, predictor=cfg.predictor)
 
 
@@ -327,7 +321,7 @@ def per_class_estimates(
     with m right-hand sides.
     """
     design, phi = build_design(nl, labels, ks, cfg, classes=m)
-    return _solve_coefficients(design, phi, cfg.lam, cfg.penalize_intercept)[0][0]
+    return _solve_coefficients(design, phi, cfg.lam)[0][0]
 
 
 def msknn_classify(train: Dataset, query, cfg: MsknnConfig, m: int | None = None) -> int:
@@ -339,6 +333,6 @@ def msknn_classify(train: Dataset, query, cfg: MsknnConfig, m: int | None = None
     nl = knn_search(points, query, ks[-1])
     if m == 2:
         design, phi = build_design(nl, train.labels == 1, ks, cfg)
-        fit = fit_extrapolate(design, phi, cfg.lam, penalize_intercept=cfg.penalize_intercept)
+        fit = fit_extrapolate(design, phi, cfg.lam)
         return plugin_classify(fit.estimate)
     return classify_multiclass(per_class_estimates(nl, train.labels, m, ks, cfg))

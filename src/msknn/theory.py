@@ -10,7 +10,10 @@ check, at desk scale, two things the estimator's design rests on:
   visible as lower excess risk on smooth problems.
 
 Ball averages are computed by Gauss-Legendre tensor quadrature in polar /
-spherical form for d <= 3 and scrambled Sobol sampling above.
+spherical form for d <= 3 and scrambled Sobol sampling above. The
+excess-risk experiments score every method with the benchmark's batched
+scorer (`bench._estimates`) and threshold at 1/2; only the ratio scale rule,
+which picks scales per query, lives here.
 """
 
 from __future__ import annotations
@@ -21,11 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
+from .bench import _estimates
 from .errors import NumericalError
 from .multiscale import (
-    _solve_coefficients,
     _suffix_weights,
-    _vander,
     _z_from_design,
     fit_extrapolate,  # noqa: F401 -- not called here; perfbench's tracer probes this name
     select_ks,
@@ -33,14 +35,15 @@ from .multiscale import (
 from .neighbors import knn_search_batch
 from .weights import SamworthParams, choose_a0, samworth_nonneg_weights, samworth_real_weights
 
-EXPERIMENT_METHODS = (
-    "bayes",
-    "unweighted",
-    "samworth_nonneg",
-    "samworth_real",
-    "msknn_radius",
-    "msknn_logk",
-)
+# the rates lab's method names and the bench methods that score them
+_BENCH_METHOD = {
+    "unweighted": "uniform",
+    "samworth_nonneg": "snn",
+    "samworth_real": "srw",
+    "msknn_radius": "msknn-r",
+    "msknn_logk": "msknn-log",
+}
+EXPERIMENT_METHODS = ("bayes", *_BENCH_METHOD)
 
 
 # ---------------------------------------------------------------------------
@@ -477,37 +480,31 @@ def _predict_binary(
     ell,
     beta: float,
 ) -> np.ndarray:
-    """Plug-in predictions for a batch of queries from one neighbour ordering."""
-    csum = np.cumsum(ordered_labels, axis=1)
-    if method == "unweighted":
-        est = csum[:, k_base - 1] / k_base
+    """Plug-in predictions for a batch of queries from one neighbour ordering.
+
+    Every method is scored by the benchmark's batched scorer on the binary
+    labels and thresholded at 1/2. The fixed-scale baselines use k_base;
+    the msknn methods use the scales ks, or under the ratio rule per-query
+    scales, scored in one group per number of scales. At lam = 0 a
+    rank-deficient query gets its minimum-norm fit.
+    """
+    if method not in _BENCH_METHOD:
+        raise ValueError(f"unknown method {method!r}")
+    bench_method = _BENCH_METHOD[method]
+    csums = np.cumsum(ordered_labels, axis=1)[None]
+    if not bench_method.startswith("msknn"):
+        est = _estimates(bench_method, csums, dists, [k_base], d, C, lam)[0][:, 0]
         return (est >= 0.5).astype(np.int64)
-    if method == "samworth_nonneg":
-        w = samworth_nonneg_weights(k_base, d).weights
-        return (ordered_labels[:, :k_base] @ w >= 0.5).astype(np.int64)
-    if method == "samworth_real":
-        a0 = choose_a0(k_base, d) if k_base >= 2 else 1.0
-        w = samworth_real_weights(SamworthParams(k_base, d, a0)).weights
-        return (ordered_labels[:, :k_base] @ w >= 0.5).astype(np.int64)
-    if method in ("msknn_radius", "msknn_logk"):
-        ks_q = [ks] * len(ordered_labels)
-        if k_rule == "ratio":
-            k1 = max(1, min(int(round(n_train ** (2 * beta / (2 * beta + d)))), n_train))
-            ks_q = [k if len(k) >= 2 else ks for k in (_ratio_scales(r, k1, ell) for r in dists)]
-        est = np.empty(len(ordered_labels))
-        # one solve per number of scales: all queries under the arithmetic rule
-        for V in sorted({len(k) for k in ks_q}):
-            rows = np.flatnonzero([len(k) == V for k in ks_q])
-            karr = np.asarray([ks_q[i] for i in rows])  # (g, V)
-            phi = np.take_along_axis(csum[rows], karr - 1, axis=1) / karr
-            if method == "msknn_radius":
-                p = np.square(np.take_along_axis(dists[rows], karr - 1, axis=1))
-            else:
-                p = np.log(karr)
-            design = _vander(p, min(C, V - 1) + 1)
-            est[rows] = _solve_coefficients(design, phi[..., None], lam)[0][:, 0, 0]
-        return (est >= 0.5).astype(np.int64)
-    raise ValueError(f"unknown method {method!r}")
+    ks_q = [ks] * len(ordered_labels)
+    if k_rule == "ratio":
+        k1 = max(1, min(int(round(n_train ** (2 * beta / (2 * beta + d)))), n_train))
+        ks_q = [k if len(k) >= 2 else ks for k in (_ratio_scales(r, k1, ell) for r in dists)]
+    est = np.empty(len(ordered_labels))
+    for V in sorted({len(k) for k in ks_q}):
+        rows = np.flatnonzero([len(k) == V for k in ks_q])
+        karr = np.asarray([ks_q[i] for i in rows])  # (g, V)
+        est[rows] = _estimates(bench_method, csums[:, rows], dists[rows], karr, d, C, lam)[0][:, 0]
+    return (est >= 0.5).astype(np.int64)
 
 
 def excess_risk_experiment(

@@ -27,16 +27,11 @@ import numpy as np
 from .estimators import WeightVector
 
 
-def delta(i: int, ell: int, d: int) -> float:
-    """Increment i^(1+2*ell/d) - (i-1)^(1+2*ell/d); equals 1 at i = 1."""
-    if i < 1:
-        raise ValueError("i must be a positive integer")
-    e = 1.0 + 2.0 * ell / d
-    return float(i**e - (i - 1) ** e)
-
-
 def delta_array(k: int, ell: int, d: int) -> np.ndarray:
-    """delta(i, ell, d) for i = 1..k; telescopes to k^(1+2*ell/d)."""
+    """Increments i^(1+2*ell/d) - (i-1)^(1+2*ell/d) for i = 1..k.
+
+    The first is 1, and they telescope to k^(1+2*ell/d).
+    """
     e = 1.0 + 2.0 * ell / d
     grid = np.arange(k + 1, dtype=np.float64) ** e
     return np.diff(grid)
@@ -111,11 +106,3 @@ def choose_a0(k_star: int, d: int) -> float:
     if denom <= 1e-30:
         return 1.0
     return float(-(w0 @ slope) / denom)
-
-
-def export_csv(wv: WeightVector, path) -> None:
-    """Write a weight vector as two-column CSV (index, weight)."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("i,weight\n")
-        for i, w in enumerate(wv.weights, start=1):
-            f.write(f"{i},{float(w)!r}\n")

@@ -1,7 +1,9 @@
 """Benchmark protocol, report shape, determinism, and the CLI surface."""
 
+import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,3 +260,15 @@ class TestSingularQueriesDegradePerQuery:
                     assert rest.split(" of ")[1].startswith("900 queries")
             assert set(counts) == {"msknn-r", "msknn-log"}
             assert counts["msknn-r"] > 0 and counts["msknn-log"] == 0
+
+
+class TestTracerProbes:
+    def test_every_probed_name_resolves(self):
+        # perfbench's --trace 1 wraps these names; a rename must fail here too
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for name, _, _ in tracer.PROBES:
+            owner, attr = tracer.resolve(name)
+            assert callable(vars(owner)[attr]), name

@@ -127,14 +127,6 @@ class TestFitExtrapolate:
         assert fit.rank_deficient
         assert np.isfinite(fit.estimate)
 
-    def test_penalized_intercept_shrinks_constant_fit(self):
-        design = np.ones((4, 1))
-        phi = np.full(4, 0.8)
-        free = fit_extrapolate(design, phi, 1.0)
-        shrunk = fit_extrapolate(design, phi, 1.0, penalize_intercept=True)
-        assert free.estimate == pytest.approx(0.8, abs=1e-12)
-        assert shrunk.estimate < 0.8
-
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericalError):
             fit_extrapolate(np.ones((2, 1)), np.array([np.nan, 1.0]), 0.0)

@@ -1,9 +1,10 @@
 """The stacked ridge solve, and the batched paths that go through it.
 
 Properties over generated stacks check the solver against per-row lstsq and
-the closed-form weights; fixed-seed checks pin the batched bench and theory
-scorers to a per-query fit_extrapolate loop; a property pins batch search to
-single-query search on tie-heavy grids.
+the closed-form weights; fixed-seed checks pin the batched scorer, as bench
+and the rates lab call it, to a per-query fit_extrapolate loop and to the
+Samworth-weighted label sums; a property pins batch search to single-query
+search on tie-heavy grids.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msknn.bench import _class_cumsums, _estimates
+from msknn.bench import METHODS, _class_cumsums, _estimates
 from msknn.errors import NumericalError
 from msknn.multiscale import (
     _solve_coefficients,
@@ -22,13 +23,14 @@ from msknn.multiscale import (
 )
 from msknn.neighbors import knn_search, knn_search_batch
 from msknn.theory import _predict_binary, _ratio_scales
+from msknn.weights import SamworthParams, choose_a0, samworth_nonneg_weights, samworth_real_weights
 
 LAMBDAS = (0.0, 1e-4, 1e-2)
 
 
 @st.composite
 def stacks(draw):
-    """(design (q, V, C+1), phi (q, V, r), ks (q, V), y (q, k_V), lam, penalize).
+    """(design (q, V, C+1), phi (q, V, r), ks (q, V), y (q, k_V), lam).
 
     Each row's predictor values are distinct grid points, so the designs
     are full rank and moderately conditioned; phi_v is the mean of the
@@ -39,7 +41,6 @@ def stacks(draw):
     C = draw(st.integers(0, V - 1))
     r = draw(st.integers(1, 3))
     lam = draw(st.sampled_from(LAMBDAS))
-    penalize = draw(st.booleans())
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     p = np.sort(np.stack([rng.choice(np.arange(1, 13), V, replace=False) for _ in range(q)]), axis=1)
@@ -48,14 +49,14 @@ def stacks(draw):
     y = rng.integers(0, 2, size=(q, ks.max(), r)).astype(np.float64)
     csum = np.cumsum(y, axis=1)
     phi = np.take_along_axis(csum, ks[:, :, None] - 1, axis=1) / ks[:, :, None]
-    return design, phi, ks, y, lam, penalize
+    return design, phi, ks, y, lam
 
 
-def _augmented_lstsq(design, phi, lam, penalize):
+def _augmented_lstsq(design, phi, lam):
     ncol = design.shape[1]
     if lam == 0:
         return np.linalg.lstsq(design, phi, rcond=None)[0]
-    pen = np.sqrt(lam) * np.eye(ncol)[0 if penalize else 1 :]
+    pen = np.sqrt(lam) * np.eye(ncol)[1:]
     aug = np.vstack([design, pen])
     rhs = np.vstack([phi, np.zeros((len(pen), phi.shape[1]))])
     return np.linalg.lstsq(aug, rhs, rcond=None)[0]
@@ -65,19 +66,19 @@ class TestStackedSolverProperties:
     @settings(max_examples=200, deadline=None)
     @given(stacks())
     def test_rows_match_lstsq(self, case):
-        design, phi, _, _, lam, penalize = case
-        coef, cond, flag = _solve_coefficients(design, phi, lam, penalize)
+        design, phi, _, _, lam = case
+        coef, cond, flag = _solve_coefficients(design, phi, lam)
         assert coef.shape == (len(design), design.shape[2], phi.shape[2])
         assert cond.shape == flag.shape == (len(design),)
         assert not flag.any()
         for i in range(len(design)):
-            ref = _augmented_lstsq(design[i], phi[i], lam, penalize)
+            ref = _augmented_lstsq(design[i], phi[i], lam)
             np.testing.assert_allclose(coef[i], ref, rtol=1e-10, atol=1e-10)
 
     @settings(max_examples=200, deadline=None)
     @given(stacks())
     def test_intercept_is_weighted_knn_at_lambda_zero(self, case):
-        design, phi, ks, y, _, _ = case
+        design, phi, ks, y, _ = case
         est = _solve_coefficients(design, phi, 0.0)[0][:, 0, :]
         for i in range(len(design)):
             z = _z_from_design(design[i])
@@ -90,7 +91,7 @@ class TestStackedSolverProperties:
     @settings(max_examples=200, deadline=None)
     @given(stacks(), st.floats(-2.0, 2.0))
     def test_unpenalized_intercept_shifts_with_phi(self, case, shift):
-        design, phi, _, _, lam, _ = case
+        design, phi, _, _, lam = case
         base = _solve_coefficients(design, phi, lam)[0]
         moved = _solve_coefficients(design, phi + shift, lam)[0]
         np.testing.assert_allclose(moved[:, 0] - base[:, 0], shift, atol=1e-9)
@@ -173,6 +174,91 @@ class TestBatchedPathsMatchPerQueryFits:
         assert decided >= len(Xq) - 2
         if k_rule == "ratio":
             assert len(n_scales) > 1
+
+
+@st.composite
+def scorer_inputs(draw):
+    """(csums, dists, ks, d) from one search, on integer grids half the time.
+
+    Grid points repeat radii across scales, so some designs are rank-deficient.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(12, 80))
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 3))
+    V = draw(st.integers(2, 5))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        train = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    else:
+        train = rng.normal(size=(n, d))
+    queries = rng.normal(size=(draw(st.integers(1, 9)), d))
+    ks = select_ks(n, d, V)
+    idx, dists = knn_search_batch(train, queries, ks[-1])
+    return _class_cumsums(rng.integers(0, m, n)[idx], m), dists, ks, d
+
+
+class TestOneScorer:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scorer_inputs(),
+        st.sampled_from(METHODS),
+        st.sampled_from([1, 2]),
+        st.sampled_from(LAMBDAS),
+    )
+    def test_shared_scales_equal_per_query_scales(self, case, method, C, lam):
+        csums, dists, ks, d = case
+        per_query = np.broadcast_to(np.asarray(ks), (dists.shape[0], len(ks)))
+        est, flags = _estimates(method, csums, dists, ks, d, C, lam)
+        q_est, q_flags = _estimates(method, csums, dists, per_query, d, C, lam)
+        np.testing.assert_array_equal(q_est, est)
+        np.testing.assert_array_equal(q_flags, flags)
+
+    @pytest.mark.parametrize("method", ["samworth_nonneg", "samworth_real"])
+    def test_rates_samworth_predictions_are_weighted_label_sums(self, method):
+        rng = np.random.default_rng(5)
+        n, d = 300, 2
+        X = rng.uniform(-1, 1, size=(n, d))
+        Y = (rng.random(n) < 0.5 + 0.3 * X[:, 0]).astype(np.float64)
+        idx, dists = knn_search_batch(X, rng.uniform(-1, 1, size=(150, d)), 120)
+        ordered = Y[idx]
+        ks = select_ks(n, d, 5)
+        for k in (1, 2, 37, 120):
+            if method == "samworth_nonneg":
+                w = samworth_nonneg_weights(k, d).weights
+            else:
+                a0 = choose_a0(k, d) if k >= 2 else 1.0
+                w = samworth_real_weights(SamworthParams(k, d, a0)).weights
+            pred = _predict_binary(
+                method, ordered, dists, n, d, ks, k, 1, 1e-4, "arithmetic", None, 4.0
+            )
+            np.testing.assert_array_equal(pred, (ordered[:, :k] @ w >= 0.5).astype(np.int64))
+
+    def test_rates_rank_deficient_query_at_lambda_zero(self):
+        rng = np.random.default_rng(4)
+        n, d, C = 200, 2, 1
+        X = rng.uniform(-1, 1, size=(n, d))
+        X[:60] = 0.25  # 60 copies of one point: every scale has radius 0 there
+        Y = rng.integers(0, 2, n).astype(np.float64)
+        Xq = np.vstack([[0.25, 0.25], rng.uniform(-1, 1, size=(20, d))])
+        ks = [10, 20, 30, 40, 50]
+        idx, dists = knn_search_batch(X, Xq, ks[-1])
+        ordered = Y[idx]
+        pred = _predict_binary(
+            "msknn_radius", ordered, dists, n, d, ks, ks[-1], C, 0.0, "arithmetic", None, 4.0
+        )
+        assert pred.shape == (len(Xq),)
+        karr = np.asarray(ks)
+        assert not dists[0, karr - 1].any()
+        # all radii 0: the minimum-norm intercept is the mean of the phi_v
+        phi = np.cumsum(ordered[0])[karr - 1] / karr
+        assert abs(phi.mean() - 0.5) > 1e-6
+        assert pred[0] == int(phi.mean() >= 0.5)
+        for i in range(len(Xq)):
+            design = np.vander(np.square(dists[i, karr - 1]), N=C + 1, increasing=True)
+            est = np.linalg.lstsq(design, np.cumsum(ordered[i])[karr - 1] / karr, rcond=None)[0][0]
+            if abs(est - 0.5) > 1e-9:
+                assert pred[i] == int(est >= 0.5)
 
 
 @st.composite

@@ -6,9 +6,7 @@ import pytest
 from msknn.weights import (
     SamworthParams,
     choose_a0,
-    delta,
     delta_array,
-    export_csv,
     samworth_nonneg_weights,
     samworth_real_weights,
 )
@@ -18,10 +16,11 @@ class TestDelta:
     def test_first_increment_is_one(self):
         for ell in (1, 2, 5):
             for d in (1, 3, 10):
-                assert delta(1, ell, d) == 1.0
+                assert delta_array(1, ell, d)[0] == 1.0
+                assert delta_array(5, ell, d)[0] == 1.0
 
     def test_hand_value(self):
-        assert delta(2, 1, 2) == pytest.approx(3.0)  # 2^2 - 1^2
+        np.testing.assert_allclose(delta_array(2, 1, 2), [1.0, 3.0])  # 2^2 - 1^2
 
     def test_telescoping(self):
         for k, ell, d in [(10, 1, 2), (50, 2, 7), (200, 1, 10)]:
@@ -33,10 +32,6 @@ class TestDelta:
             for d in (1, 4, 9):
                 arr = delta_array(60, ell, d)
                 assert np.all(np.diff(arr) > 0)
-
-    def test_rejects_nonpositive_i(self):
-        with pytest.raises(ValueError):
-            delta(0, 1, 3)
 
 
 class TestNonnegWeights:
@@ -112,15 +107,3 @@ class TestChooseA0:
         w_one = samworth_real_weights(SamworthParams(k, d, 1.0)).weights
         assert w_at @ w_at <= w_one @ w_one + 1e-15
         assert abs(w_at.sum() - 1.0) <= 1e-9
-
-
-def test_export_csv(tmp_path):
-    w = samworth_nonneg_weights(5, 3)
-    path = tmp_path / "w.csv"
-    export_csv(w, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "i,weight"
-    assert len(lines) == 6
-    i, val = lines[1].split(",")
-    assert i == "1"
-    assert float(val) == w.weights[0]
