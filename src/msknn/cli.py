@@ -203,6 +203,11 @@ def _cmd_rates(args, argv) -> int:
         k_rule=params["k_rule"],
         ell=ell,
     )
+    for meth, count in table.rank_deficient.items():
+        print(
+            f"# {meth}: {count} of {table.n_queries} queries had a rank-deficient design",
+            file=sys.stderr,
+        )
     _write("\n".join(table.csv_rows()) + "\n", args.out)
     return 0
 

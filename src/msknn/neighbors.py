@@ -10,7 +10,10 @@ searches agree bit for bit, near-ties included.
 |p|^2 - 2 q.p, keeps every point within a proven floating-point bound of
 the k_max-th, and orders only those candidates with the exact arithmetic;
 its docstring gives the bound. It builds no (queries, n, d) tensor and
-sorts no full row of n distances.
+sorts no full row of n distances. The candidates are sorted by distance
+with an unstable sort; only rows with equal (or non-finite) distances
+among their first k_max + 1 then put each run of equal distances back in
+index order.
 """
 
 from __future__ import annotations
@@ -90,10 +93,13 @@ def knn_search_batch(train, queries: np.ndarray, k_max: int) -> tuple[np.ndarray
        distance take a second argpartition, wide enough to keep them all;
        the block's other rows then keep as many from their first one.
     3. Order exactly. The candidates' squared distances are recomputed with
-       this module's arithmetic, np.square(q - p).sum(-1); the candidates
-       are put in index order, stable-argsorted by distance, and the first
-       k_max kept. Every distance that leaves this function is therefore
-       bit-identical to the single-query and full-sort paths.
+       this module's arithmetic, np.square(q - p).sum(-1), and argsorted
+       with the default, unstable sort. A row whose first k_max + 1 sorted
+       distances strictly increase keeps its first k_max as they are; in
+       any other row each run of equal distances is put in index order
+       over all its candidates (`_order_exactly`). Every distance that
+       leaves this function is therefore bit-identical to the single-query
+       and full-sort paths.
 
     Why the candidates hold the answer. Let e be the squared distance of
     step 3 and a' = a + |q|^2. With unit roundoff u = eps / 2,
@@ -171,22 +177,56 @@ def _prune(lhs, rhs, k_max, slack):
 def _order_exactly(points, queries, cand, k_max):
     """Step 3 of knn_search_batch: the first k_max candidates by (squared distance, index).
 
+    The exact squared distances are sorted with the default, unstable
+    argsort, which leaves equal keys in arbitrary order. If the first
+    k_max + 1 sorted keys of a row are strictly increasing, its first k_max
+    are already exact: each is the only point at its distance, and the
+    (k_max+1)-th lies strictly beyond. Any other row (an equal adjacent
+    pair there, or a non-finite key) is repaired: every run of equal keys
+    across the row's full candidate width is put in ascending index order,
+    because a run that reaches position k_max can extend past it. The
+    sorted distances do not depend on the order within a run.
+
     Rows go in chunks whose (rows, candidates, d) difference tensor holds
     about 2e6 float64.
     """
     n_q, width = cand.shape
+    head = min(k_max + 1, width)
     idx = np.empty((n_q, k_max), dtype=np.intp)
     d2 = np.empty((n_q, k_max), dtype=np.float64)
     step = max(1, 2_000_000 // (width * points.shape[1]))
     for start in range(0, n_q, step):
         rows = slice(start, start + step)
-        c = np.sort(cand[rows], axis=1)
+        c = cand[rows]
         full = np.square(queries[rows, None, :] - points.take(c, axis=0)).sum(axis=2)
-        # stable argsort keeps equal keys in index order, which is the tie rule
-        order = np.argsort(full, axis=1, kind="stable")[:, :k_max]
-        idx[rows] = np.take_along_axis(c, order, axis=1)
-        d2[rows] = np.take_along_axis(full, order, axis=1)
+        order = np.argsort(full, axis=1)
+        keys = np.take_along_axis(full, order[:, :head], axis=1)
+        idx[rows] = np.take_along_axis(c, order[:, :k_max], axis=1)
+        d2[rows] = keys[:, :k_max]
+        # "not b > a" also holds for NaN, so a non-finite row is repaired too
+        tied = np.flatnonzero(~(keys[:, 1:] > keys[:, :-1]).all(axis=1))
+        if len(tied):
+            idx[start + tied] = _index_order_ties(full[tied], c[tied], order[tied], k_max)
     return idx, d2
+
+
+def _index_order_ties(full, cand, order, k_max):
+    """First k_max of cand sorted by (full, index), given order = argsort(full).
+
+    Each position is keyed by the sorted position where its run of equal
+    keys starts (NaNs form one run, as in a stable sort), then by its
+    index; the keys are distinct, so an unstable argsort of them is exact.
+    (np.lexsort is two stable sorts: about twice as slow on banknote's
+    tie-heavy rows.)
+    """
+    keys = np.take_along_axis(full, order, axis=1)
+    ids = np.take_along_axis(cand, order, axis=1)
+    starts = np.ones(keys.shape, dtype=bool)
+    nan = np.isnan(keys)
+    starts[:, 1:] = ~((keys[:, 1:] == keys[:, :-1]) | nan[:, 1:] & nan[:, :-1])
+    run_start = np.maximum.accumulate(np.where(starts, np.arange(keys.shape[1]), 0), axis=1)
+    rank = np.argsort(run_start * (ids.max() + 1) + ids, axis=1)[:, :k_max]
+    return np.take_along_axis(ids, rank, axis=1)
 
 
 def radius_at(nl: NeighborList, k: int) -> float:

@@ -418,6 +418,8 @@ class RateTable:
 
     per_rep keeps the raw (method, n, rep) excess risks so paired
     comparisons between methods can be formed after the fact.
+    rank_deficient counts, per msknn method, the queries (of n_queries in
+    all) whose extrapolation design was rank-deficient.
     """
 
     n_grid: list[int]
@@ -426,6 +428,8 @@ class RateTable:
     stderr: np.ndarray
     slopes: dict[str, tuple[float, float]] = field(default_factory=dict)
     per_rep: np.ndarray | None = None
+    rank_deficient: dict[str, int] = field(default_factory=dict)
+    n_queries: int = 0
 
     def csv_rows(self) -> list[str]:
         rows = ["method,n,mean_excess,stderr,slope,slope_stderr"]
@@ -468,7 +472,7 @@ def _ratio_scales(sorted_dists: np.ndarray, k1: int, ell) -> list[int]:
 
 def _predict_binary(
     method: str,
-    ordered_labels: np.ndarray,
+    csums: np.ndarray,
     dists: np.ndarray,
     n_train: int,
     d: int,
@@ -479,32 +483,37 @@ def _predict_binary(
     k_rule: str,
     ell,
     beta: float,
-) -> np.ndarray:
-    """Plug-in predictions for a batch of queries from one neighbour ordering.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Plug-in predictions (q,) for a batch of queries, and a (q,) rank flag.
 
-    Every method is scored by the benchmark's batched scorer on the binary
-    labels and thresholded at 1/2. The fixed-scale baselines use k_base;
-    the msknn methods use the scales ks, or under the ratio rule per-query
-    scales, scored in one group per number of scales. At lam = 0 a
-    rank-deficient query gets its minimum-norm fit.
+    csums holds the cumulative counts of the binary labels along each
+    query's neighbour ordering, shape (q, k), computed once and shared by
+    the methods. Every method is scored by the benchmark's batched scorer
+    and thresholded at 1/2. The fixed-scale baselines use k_base. The msknn
+    methods use the scales ks, one (V,) design shared by the batch, or
+    under the ratio rule per-query scales, scored in one group per number
+    of scales. The flag marks the queries whose msknn design is
+    rank-deficient; at lam = 0 those get the minimum-norm fit.
     """
     if method not in _BENCH_METHOD:
         raise ValueError(f"unknown method {method!r}")
     bench_method = _BENCH_METHOD[method]
-    csums = np.cumsum(ordered_labels, axis=1)[None]
-    if not bench_method.startswith("msknn"):
-        est = _estimates(bench_method, csums, dists, [k_base], d, C, lam)[0][:, 0]
-        return (est >= 0.5).astype(np.int64)
-    ks_q = [ks] * len(ordered_labels)
-    if k_rule == "ratio":
-        k1 = max(1, min(int(round(n_train ** (2 * beta / (2 * beta + d)))), n_train))
-        ks_q = [k if len(k) >= 2 else ks for k in (_ratio_scales(r, k1, ell) for r in dists)]
-    est = np.empty(len(ordered_labels))
+    csums = csums[None]
+    multiscale = bench_method.startswith("msknn")
+    if not multiscale or k_rule == "arithmetic":
+        scales = ks if multiscale else [k_base]
+        est, flags = _estimates(bench_method, csums, dists, scales, d, C, lam)
+        return (est[:, 0] >= 0.5).astype(np.int64), flags
+    k1 = max(1, min(int(round(n_train ** (2 * beta / (2 * beta + d)))), n_train))
+    ks_q = [k if len(k) >= 2 else ks for k in (_ratio_scales(r, k1, ell) for r in dists)]
+    est = np.empty(len(dists))
+    flags = np.empty(len(dists), dtype=bool)
     for V in sorted({len(k) for k in ks_q}):
         rows = np.flatnonzero([len(k) == V for k in ks_q])
         karr = np.asarray([ks_q[i] for i in rows])  # (g, V)
-        est[rows] = _estimates(bench_method, csums[:, rows], dists[rows], karr, d, C, lam)[0][:, 0]
-    return (est >= 0.5).astype(np.int64)
+        g_est, flags[rows] = _estimates(bench_method, csums[:, rows], dists[rows], karr, d, C, lam)
+        est[rows] = g_est[:, 0]
+    return (est >= 0.5).astype(np.int64), flags
 
 
 def excess_risk_experiment(
@@ -548,6 +557,7 @@ def excess_risk_experiment(
     bayes = problem.bayes_error()
 
     per_rep = np.empty((len(methods), len(n_grid), reps))
+    rank_deficient = {m: 0 for m in methods if m.startswith("msknn")}
     for j, n in enumerate(n_grid):
         ks = select_ks(n, problem.d, V)
         if baseline_k_factor is None:
@@ -560,25 +570,28 @@ def excess_risk_experiment(
             X, Y = problem.sample(rng, n)
             Xq = problem.density.sample(rng, n_test)
             eta_q = problem.eta.value(Xq)
-            idx = dist = ordered = None
+            dist = csums = None
             for i, meth in enumerate(methods):
                 if meth == "bayes":
                     pred = (eta_q >= 0.5).astype(np.int64)
                 else:
-                    if idx is None:
+                    if csums is None:
                         idx, dist = knn_search_batch(X, Xq, k_max)
-                        ordered = Y[idx].astype(np.float64)
-                    pred = _predict_binary(
-                        meth, ordered, dist, n, problem.d, ks, k_base,
+                        csums = np.cumsum(Y[idx].astype(np.float64), axis=1)
+                    pred, flags = _predict_binary(
+                        meth, csums, dist, n, problem.d, ks, k_base,
                         C, lam, k_rule, ell, problem.beta,
                     )
+                    if meth in rank_deficient:
+                        rank_deficient[meth] += int(flags.sum())
                 cond_risk = np.where(pred == 1, 1.0 - eta_q, eta_q).mean()
                 per_rep[i, j, rep] = cond_risk - bayes
 
     mean_excess = per_rep.mean(axis=2)
     stderr = per_rep.std(axis=2, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros_like(mean_excess)
     table = RateTable(
-        n_grid=n_grid, methods=methods, mean_excess=mean_excess, stderr=stderr, per_rep=per_rep
+        n_grid=n_grid, methods=methods, mean_excess=mean_excess, stderr=stderr, per_rep=per_rep,
+        rank_deficient=rank_deficient, n_queries=len(n_grid) * reps * n_test,
     )
     for i, meth in enumerate(methods):
         table.slopes[meth] = _loglog_slope(n_grid, mean_excess[i])

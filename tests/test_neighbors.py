@@ -197,3 +197,60 @@ class TestPermutationInvariance:
             est, _ = _estimates(method, csums, dist, ks, d, 1, 1e-4)
             p_est, _ = _estimates(method, p_csums, p_dist, ks, d, 1, 1e-4)
             np.testing.assert_array_equal(p_est, est)
+
+
+@st.composite
+def straddling_runs(draw):
+    """Distinct distances, except a run of 5 exact-duplicate points at sorted
+    positions k_max - 2 .. k_max + 2 (1-based) of the first query."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(8, 300))
+    k_max = draw(st.integers(3, n - 2))
+    points = rng.normal(size=(n, d))
+    queries = rng.normal(size=(draw(st.integers(1, 5)), d))
+    order = np.argsort(np.square(points - queries[0]).sum(axis=1), kind="stable")
+    points[order[k_max - 2 : k_max + 2]] = points[order[k_max - 3]]
+    return points, queries, k_max
+
+
+class TestTieRunOrdering:
+    @settings(max_examples=200)
+    @given(straddling_runs())
+    def test_run_straddling_k_max(self, case):
+        points, queries, k_max = case
+        assert_matches_oracle(points, queries, k_max)
+
+    @pytest.mark.parametrize("n, d, k_max", [(40, 2, 7), (300, 3, 150), (500, 1, 500)])
+    def test_every_candidate_tied(self, n, d, k_max):
+        rng = np.random.default_rng(n)
+        # one point repeated n times, and +-unit vectors around the origin
+        same = np.repeat(rng.normal(size=(1, d)), n, axis=0)
+        axes = np.vstack([np.eye(d), -np.eye(d)])[rng.integers(0, 2 * d, size=n)]
+        queries = np.vstack([same[:1], np.zeros((1, d)), rng.normal(size=(3, d))])
+        assert_matches_oracle(same, queries, k_max)
+        assert_matches_oracle(axes, queries, k_max)
+        idx, _ = knn_search_batch(same, queries, k_max)
+        np.testing.assert_array_equal(idx, np.broadcast_to(np.arange(k_max), idx.shape))
+
+    @pytest.mark.parametrize("k_max", [5, 30, 60, 80])
+    def test_squared_distances_overflow_to_inf(self, k_max):
+        rng = np.random.default_rng(k_max)
+        # 30 points near the origin, 50 scaled by 1e155: their squares overflow
+        points = np.vstack([rng.normal(size=(30, 2)), rng.normal(size=(50, 2)) * 1e155])
+        points = points[rng.permutation(len(points))]
+        queries = rng.normal(size=(6, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isinf(np.square(points - queries[0]).sum(axis=1)).sum() > 40
+            assert_matches_oracle(points, queries, k_max)
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32 - 1), st.integers(17, 200), st.integers(1, 4), st.booleans())
+    def test_k_max_equals_n(self, seed, n, d, grid):
+        rng = np.random.default_rng(seed)
+        if grid:
+            points = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+            queries = rng.integers(-2, 3, size=(4, d)).astype(np.float64)
+        else:
+            points, queries = rng.normal(size=(n, d)), rng.normal(size=(4, d))
+        assert_matches_oracle(points, queries, n)

@@ -156,8 +156,8 @@ class TestBatchedPathsMatchPerQueryFits:
         ell = (1.0, 1.002, 1.004, 1.3, 1.6)
         idx, dists = knn_search_batch(X, Xq, n)
         ordered = Y[idx]
-        pred = _predict_binary(method, ordered, dists, n, d, ks, ks[-1], C, lam, k_rule, ell, beta)
         csum = np.cumsum(ordered, axis=1)
+        pred, _ = _predict_binary(method, csum, dists, n, d, ks, ks[-1], C, lam, k_rule, ell, beta)
         k1 = int(round(n ** (2 * beta / (2 * beta + d))))
         n_scales, decided = set(), 0
         for i in range(len(Xq)):
@@ -229,8 +229,9 @@ class TestOneScorer:
             else:
                 a0 = choose_a0(k, d) if k >= 2 else 1.0
                 w = samworth_real_weights(SamworthParams(k, d, a0)).weights
-            pred = _predict_binary(
-                method, ordered, dists, n, d, ks, k, 1, 1e-4, "arithmetic", None, 4.0
+            pred, _ = _predict_binary(
+                method, np.cumsum(ordered, axis=1), dists, n, d, ks, k, 1, 1e-4, "arithmetic",
+                None, 4.0,
             )
             np.testing.assert_array_equal(pred, (ordered[:, :k] @ w >= 0.5).astype(np.int64))
 
@@ -244,8 +245,9 @@ class TestOneScorer:
         ks = [10, 20, 30, 40, 50]
         idx, dists = knn_search_batch(X, Xq, ks[-1])
         ordered = Y[idx]
-        pred = _predict_binary(
-            "msknn_radius", ordered, dists, n, d, ks, ks[-1], C, 0.0, "arithmetic", None, 4.0
+        pred, _ = _predict_binary(
+            "msknn_radius", np.cumsum(ordered, axis=1), dists, n, d, ks, ks[-1], C, 0.0,
+            "arithmetic", None, 4.0,
         )
         assert pred.shape == (len(Xq),)
         karr = np.asarray(ks)

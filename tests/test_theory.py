@@ -1,10 +1,14 @@
 """Ball averages, bias-expansion fits, and excess-risk experiments."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from msknn.cli import main
 from msknn.errors import NumericalError
 from msknn.theory import (
+    EXPERIMENT_METHODS,
     RadialPolynomialEta,
     SyntheticProblem,
     UniformBall,
@@ -250,6 +254,99 @@ class TestExcessRisk:
             smooth_problem_2d(), ["bayes", "unweighted"], [128], reps=6, n_test=32, seed=7
         )
         np.testing.assert_array_equal(a.mean_excess[0], b.mean_excess[0])
+
+
+# per_rep of the pinned config below, as float.hex, in (method, n, rep) order
+PINNED_PER_REP = {
+    ("arithmetic", 1e-4): (
+        "0x1.027b090b9f9d8p-4", "0x1.d87002d4e7750p-5", "0x1.3871b33e01c70p-4",
+        "0x1.5558ed0fbaab0p-5", "0x1.961243f136230p-5", "0x1.c988aa3730000p-5",
+        "0x1.e6c0bf9bbf660p-7", "0x1.03bbc79334af0p-5", "0x1.908c9fc6935b0p-5",
+        "0x1.66f2eedd7d300p-5", "0x1.0043c65bfc6a0p-6", "0x1.5604bd1ab7378p-5",
+        "0x1.8415ce12f8460p-5", "0x1.6199598822720p-5", "0x1.8b78ca7603e40p-7",
+        "0x1.261c92bb04cf0p-5", "0x1.6a863de0735a0p-5", "0x1.7f3ffba66f968p-5",
+        "0x1.0c3005aa7b400p-7", "0x1.1a82e97d52df0p-5",
+    ),
+    ("arithmetic", 0.0): (
+        "0x1.027b090b9f9d8p-4", "0x1.d87002d4e7750p-5", "0x1.3871b33e01c70p-4",
+        "0x1.5558ed0fbaab0p-5", "0x1.961243f136230p-5", "0x1.c988aa3730000p-5",
+        "0x1.e6c0bf9bbf660p-7", "0x1.03bbc79334af0p-5", "0x1.908c9fc6935b0p-5",
+        "0x1.66f2eedd7d300p-5", "0x1.0043c65bfc6a0p-6", "0x1.5604bd1ab7378p-5",
+        "0x1.8415ce12f8460p-5", "0x1.6199598822720p-5", "0x1.8b78ca7603e40p-7",
+        "0x1.261c92bb04cf0p-5", "0x1.6a863de0735a0p-5", "0x1.7f3ffba66f968p-5",
+        "0x1.0c3005aa7b400p-7", "0x1.1a82e97d52df0p-5",
+    ),
+    ("ratio", 1e-4): (
+        "0x1.027b090b9f9d8p-4", "0x1.d87002d4e7750p-5", "0x1.3871b33e01c70p-4",
+        "0x1.5558ed0fbaab0p-5", "0x1.961243f136230p-5", "0x1.c988aa3730000p-5",
+        "0x1.e6c0bf9bbf660p-7", "0x1.03bbc79334af0p-5", "0x1.908c9fc6935b0p-5",
+        "0x1.66f2eedd7d300p-5", "0x1.0043c65bfc6a0p-6", "0x1.5604bd1ab7378p-5",
+        "0x1.0bffca15b72d0p-4", "0x1.a9d5edd2516a0p-5", "0x1.0d4a1b016ab30p-6",
+        "0x1.7301299b8ef78p-5", "0x1.0f2516dff25a0p-4", "0x1.8a711c0fa7f28p-5",
+        "0x1.b3ef4df750540p-7", "0x1.7bd368732e820p-5",
+    ),
+    ("ratio", 0.0): (
+        "0x1.027b090b9f9d8p-4", "0x1.d87002d4e7750p-5", "0x1.3871b33e01c70p-4",
+        "0x1.5558ed0fbaab0p-5", "0x1.961243f136230p-5", "0x1.c988aa3730000p-5",
+        "0x1.e6c0bf9bbf660p-7", "0x1.03bbc79334af0p-5", "0x1.908c9fc6935b0p-5",
+        "0x1.66f2eedd7d300p-5", "0x1.0043c65bfc6a0p-6", "0x1.5604bd1ab7378p-5",
+        "0x1.0bffca15b72d0p-4", "0x1.a9d5edd2516a0p-5", "0x1.0d4a1b016ab30p-6",
+        "0x1.7301299b8ef78p-5", "0x1.0f2516dff25a0p-4", "0x1.8a711c0fa7f28p-5",
+        "0x1.b3ef4df750540p-7", "0x1.7bd368732e820p-5",
+    ),
+}
+
+
+@dataclass(frozen=True)
+class GridBox(UniformBox):
+    """Uniform draws rounded to the 3 x 3 integer grid: duplicate points, tied radii."""
+
+    def sample(self, rng, n):
+        return np.round(super().sample(rng, n))
+
+
+class TestRatesLabOutput:
+    @pytest.mark.parametrize("k_rule, lam", list(PINNED_PER_REP))
+    def test_per_rep_pinned(self, k_rule, lam):
+        # n = 64 takes the k_max = n search path, n = 128 the pruned one
+        table = excess_risk_experiment(
+            smooth_problem_2d(),
+            EXPERIMENT_METHODS[1:],
+            (64, 128),
+            reps=2,
+            n_test=64,
+            seed=7,
+            lam=lam,
+            k_rule=k_rule,
+        )
+        got = tuple(v.hex() for v in table.per_rep.ravel().tolist())
+        assert got == PINNED_PER_REP[k_rule, lam]
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-4])
+    def test_rank_deficient_queries_counted(self, lam):
+        problem = SyntheticProblem(
+            GridBox((-1.0, -1.0), (1.0, 1.0)), smooth_problem_2d().eta, 1.0, 4.0, bayes_risk=0.0
+        )
+        table = excess_risk_experiment(
+            problem, ["unweighted", "msknn_radius", "msknn_logk"], (256, 512), reps=2, n_test=30,
+            seed=1, C=2, lam=lam,
+        )
+        assert set(table.rank_deficient) == {"msknn_radius", "msknn_logk"}
+        assert table.n_queries == 2 * 2 * 30
+        # fewer than C + 1 distinct radii make the r^2 design singular; log k never is
+        assert 0 < table.rank_deficient["msknn_radius"] <= table.n_queries
+        assert table.rank_deficient["msknn_logk"] == 0
+
+    def test_cli_prints_rank_deficiency_counts(self, capsys):
+        argv = ["rates", "--n-grid", "64,96", "--reps", "2", "--n-test", "8", "--lambda", "0",
+                "--methods", "bayes,unweighted,msknn_radius,msknn_logk"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "# msknn_radius: 0 of 32 queries had a rank-deficient design",
+            "# msknn_logk: 0 of 32 queries had a rank-deficient design",
+        ]
+        assert captured.out.startswith("method,n,mean_excess,stderr,slope,slope_stderr\n")
 
 
 class TestExperimentConfig:
