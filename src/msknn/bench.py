@@ -58,6 +58,10 @@ class BenchConfig:
         for meth in self.methods:
             if meth not in METHODS:
                 raise ValueError(f"unknown method {meth!r}; choose from {METHODS}")
+        if self.C < 0:
+            raise ValueError("C must be non-negative")
+        if self.C > self.V - 1:
+            raise ValueError(f"C={self.C} needs at least C+1 scales, got V={self.V}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,7 @@ def _estimates(
         else:
             p = np.log(karr.astype(np.float64))  # a (V,) design is shared by every query
         design = _vander(p, min(C, kq.shape[1] - 1) + 1)
-        coef, _, flags = _solve_coefficients(design, phi.transpose(1, 2, 0), lam, min_norm=True)
+        coef, _, _, flags = _solve_coefficients(design, phi.transpose(1, 2, 0), lam, min_norm=True)
         return coef[:, 0, :], np.broadcast_to(flags, n_q)
     raise ValueError(f"unknown method {method!r}")
 
@@ -213,10 +217,9 @@ def _bench_dataset(
                 # the single-query fit raises at lam = 0 where the batch degrades
                 print(f"# {name} fit diagnostics (first query): {exc}", file=sys.stderr)
             else:
-                zmax = f", max|z|={np.abs(fit.z).max():.3g}" if fit.z is not None else ""
                 print(
                     f"# {name} fit diagnostics (first query): cond={fit.cond:.3g}, "
-                    f"rank_deficient={fit.rank_deficient}{zmax}",
+                    f"rank_deficient={fit.rank_deficient}, max|z|={np.abs(fit.z).max():.3g}",
                     file=sys.stderr,
                 )
 

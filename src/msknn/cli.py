@@ -33,6 +33,13 @@ PROBLEMS = {
 }
 
 
+# rates parameters when neither a flag nor a --config line sets them
+RATES_DEFAULTS = dict(
+    problem="smooth-2d", methods="unweighted,msknn_radius", n_grid="256,512,1024,2048",
+    reps=50, n_test=128, seed=0, V=5, C=1, lam=1e-4, k_rule="arithmetic", ell=None,
+)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract here is 1
     def error(self, message):
@@ -80,21 +87,20 @@ def _build_parser() -> _Parser:
     t.add_argument("--budget", type=int, default=10_000, help="quadrature nodes per ball")
     t.add_argument("--out", default=None)
 
-    r = sub.add_parser("rates", help="Monte-Carlo excess-risk decay experiment")
-    r.add_argument("--problem", choices=sorted(PROBLEMS), default="smooth-2d")
-    r.add_argument("--methods", default="unweighted,msknn_radius",
-                   help=f"comma list from {','.join(EXPERIMENT_METHODS)}")
-    r.add_argument("--n-grid", default="256,512,1024,2048",
-                   help="comma list of training sizes")
-    r.add_argument("--reps", type=int, default=50)
-    r.add_argument("--n-test", type=int, default=128)
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--V", type=int, default=5)
-    r.add_argument("--C", type=int, default=1)
-    r.add_argument("--lambda", dest="lam", type=float, default=1e-4)
-    r.add_argument("--k-rule", choices=("arithmetic", "ratio"), default="arithmetic")
-    r.add_argument("--ell", default=None,
-                   help="comma list of radius ratios for --k-rule ratio")
+    # a parameter flag sets its dest only when given, so it can override --config
+    r = sub.add_parser("rates", help="Monte-Carlo excess-risk decay experiment",
+                       argument_default=argparse.SUPPRESS)
+    r.add_argument("--problem", choices=sorted(PROBLEMS))
+    r.add_argument("--methods", help=f"comma list from {','.join(EXPERIMENT_METHODS)}")
+    r.add_argument("--n-grid", help="comma list of training sizes")
+    r.add_argument("--reps", type=int)
+    r.add_argument("--n-test", type=int)
+    r.add_argument("--seed", type=int)
+    r.add_argument("--V", type=int)
+    r.add_argument("--C", type=int)
+    r.add_argument("--lambda", dest="lam", type=float)
+    r.add_argument("--k-rule", choices=("arithmetic", "ratio"))
+    r.add_argument("--ell", help="comma list of radius ratios for --k-rule ratio")
     r.add_argument("--config", default=None,
                    help="key=value file of experiment parameters (flags override)")
     r.add_argument("--save-config", default=None,
@@ -173,18 +179,10 @@ def _cmd_theory(args) -> int:
     return 0 if worst <= 0.05 else 3
 
 
-def _cmd_rates(args, argv) -> int:
-    params = dict(
-        problem=args.problem, methods=args.methods, n_grid=args.n_grid,
-        reps=args.reps, n_test=args.n_test, seed=args.seed,
-        V=args.V, C=args.C, lam=args.lam, k_rule=args.k_rule, ell=args.ell,
-    )
-    if args.config:
-        loaded = load_experiment_config(args.config)
-        given = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
-        for key, value in loaded.items():
-            if key not in given:
-                params[key] = value
+def _cmd_rates(args) -> int:
+    given = {key: value for key, value in vars(args).items() if key in RATES_DEFAULTS}
+    loaded = load_experiment_config(args.config) if args.config else {}
+    params = {**RATES_DEFAULTS, **loaded, **given}
     if args.save_config:
         save_experiment_config(args.save_config, **params)
     ell = None
@@ -214,8 +212,6 @@ def _cmd_rates(args, argv) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -228,7 +224,7 @@ def main(argv=None) -> int:
         if args.command == "theory":
             return _cmd_theory(args)
         if args.command == "rates":
-            return _cmd_rates(args, argv)
+            return _cmd_rates(args)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -11,20 +11,22 @@ scales k_1 < ... < k_V and regressed on a polynomial in a predictor p_v:
   that needs no radii (r^2 is approximately affine in ln k over a scale
   range in moderate-to-high dimension).
 
-The intercept is the estimate. The same least-squares problem has a closed
-form as a weighted k-NN: scale weights z (one per k_v) and per-neighbour
-weights w*_i = sum_{v: i <= k_v} z_v / k_v, both summing to 1. These are
-exposed for inspection; the estimator itself never needs them.
+The intercept is the estimate. At every lam it is a weighted k-NN: the
+intercept row of the (ridge) pseudoinverse gives scale weights z (one per
+k_v) with b_0 = z . phi, and per-neighbour weights
+w*_i = sum_{v: i <= k_v} z_v / k_v, both summing to 1 because the intercept
+is never penalized. The weights are real-valued and adapt to the query's
+radii.
 
 Every estimator path goes through one stacked solve, `_solve_coefficients`:
 a batch of queries (bench, the rates lab), the m classes of one query
 (`per_class_estimates`) and a single fit (`fit_extrapolate`) are each one
-batched SVD of the ridge-augmented designs, never a loop of solves.
+batched SVD of the ridge-augmented designs, never a loop of solves. The
+same solve returns z, so the weights cost no second solve.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,7 +75,12 @@ class MsknnConfig:
 
 @dataclass(frozen=True)
 class MsknnFit:
-    """Regression artifacts for one query: design, coefficients, weights."""
+    """Regression artifacts for one query: design, coefficients, weights.
+
+    z holds the scale weights (estimate == z . phi) and w_star the
+    per-neighbour weights (estimate == w_star . ordered labels), at every
+    lam; w_star is None when the fit was made without its scales ks.
+    """
 
     design: np.ndarray
     coef: np.ndarray
@@ -82,7 +89,7 @@ class MsknnFit:
     predictor: str
     cond: float
     rank_deficient: bool
-    z: np.ndarray | None = None
+    z: np.ndarray
     w_star: np.ndarray | None = None
 
     @property
@@ -140,21 +147,6 @@ def build_design(
     return np.vander(p, N=cfg.C + 1, increasing=True), phi
 
 
-def _z_from_design(design: np.ndarray) -> np.ndarray:
-    """Scale weights z: the first row of the pseudoinverse of [1 | R].
-
-    Equal to (I - P_R) 1 / (V - 1' P_R 1) with P_R the projector onto the
-    predictor columns; it is the intercept of the lam = 0 solve against the
-    identity, so z stays numerically consistent with the estimate, and the
-    sum (identically 1) is renormalized away from its ~1e-14 rounding residue.
-    """
-    z = _solve_coefficients(design, np.eye(len(design)), 0.0)[0][0]
-    total = z.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise NumericalError("scales leave the intercept unidentifiable")
-    return z / total
-
-
 def _suffix_weights(z: np.ndarray, ks) -> np.ndarray:
     """Per-neighbour weights w*_i = sum over scales with k_v >= i of z_v / k_v."""
     karr = np.asarray(ks, dtype=np.int64)
@@ -169,17 +161,18 @@ def _solve_coefficients(
     lam: float,
     *,
     min_norm: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Penalized least squares for a stack of designs, by one batched SVD.
 
     design (..., V, C+1) and phi (..., V, r) give coefficients (..., C+1, r),
-    the condition number of each solved system and a rank-deficiency flag
-    for each design. The solution is the pseudoinverse of the designs with
-    rows sqrt(lam) * I appended (none for the intercept), dropping the
-    singular values lstsq drops. A (V, C+1) design is shared by a whole
-    (..., V, r) stack of phi. At lam = 0 a rank-deficient design raises,
-    unless min_norm is set: then its minimum-norm fit is returned and
-    flagged, so a batch degrades per design.
+    the scale weights z (..., V), the condition number of each solved system
+    and a rank-deficiency flag for each design. The solution is the
+    pseudoinverse of the designs with rows sqrt(lam) * I appended (none for
+    the intercept), dropping the singular values lstsq drops; z is its
+    intercept row, so b_0 = z . phi for every column of phi. A (V, C+1)
+    design is shared by a whole (..., V, r) stack of phi. At lam = 0 a
+    rank-deficient design raises, unless min_norm is set: then its
+    minimum-norm fit is returned and flagged, so a batch degrades per design.
     """
     design = np.asarray(design, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
@@ -210,7 +203,7 @@ def _solve_coefficients(
     cond = np.divide(s[..., 0], low, out=np.full(low.shape, np.inf), where=low > 0)
     s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     pinv = np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u[..., :V, :], -1, -2))
-    return pinv @ phi, cond, rank_deficient
+    return pinv @ phi, pinv[..., 0, :], cond, rank_deficient
 
 
 def fit_extrapolate(
@@ -225,7 +218,9 @@ def fit_extrapolate(
     The intercept is never penalized: shrinking b_0 toward 0 would bias the
     estimate itself rather than just the curvature terms. With lam = 0 an
     exactly singular design raises instead of silently returning a
-    minimum-norm solution.
+    minimum-norm solution. The fit carries the scale weights z at every
+    lam, renormalized from their ~1e-14 rounding residue (a sum off 1 by
+    more than 1e-6 raises), and the per-neighbour weights w* when ks is given.
     """
     design = np.asarray(design, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
@@ -234,13 +229,11 @@ def fit_extrapolate(
     if lam < 0:
         raise ValueError("lambda must be non-negative")
 
-    coef, cond, rank_deficient = _solve_coefficients(design, phi[:, None], lam)
-
-    z = w_star = None
-    if lam == 0:
-        z = _z_from_design(design)
-        if ks is not None:
-            w_star = _suffix_weights(z, ks)
+    coef, z, cond, rank_deficient = _solve_coefficients(design, phi[:, None], lam)
+    total = z.sum()
+    if abs(total - 1.0) > 1e-6:
+        raise NumericalError("scales leave the intercept unidentifiable")
+    z = z / total
     return MsknnFit(
         design=design,
         coef=coef[:, 0],
@@ -250,7 +243,7 @@ def fit_extrapolate(
         cond=float(cond),
         rank_deficient=bool(rank_deficient),
         z=z,
-        w_star=w_star,
+        w_star=_suffix_weights(z, ks) if ks is not None else None,
     )
 
 
@@ -265,7 +258,8 @@ def implicit_weights(nl: NeighborList, ks, C: int) -> tuple[np.ndarray, np.ndarr
     """Scale weights z and per-neighbour weights w* for radius-mode scales.
 
     Both vectors sum to 1, and sum_i w*_i Y_(i) reproduces the lam = 0
-    extrapolation estimate exactly (up to rounding).
+    extrapolation estimate exactly (up to rounding). They depend on the
+    radii only, so they are read off a fit against phi = 0.
     """
     if C < 1:
         raise ValueError("C must be at least 1 for implicit weights")
@@ -275,9 +269,8 @@ def implicit_weights(nl: NeighborList, ks, C: int) -> tuple[np.ndarray, np.ndarr
     if ks[-1] > len(nl):
         raise ValueError(f"largest scale {ks[-1]} exceeds the {len(nl)}-neighbour list")
     p = np.square(nl.distances[np.asarray(ks) - 1])
-    design = np.vander(p, N=C + 1, increasing=True)
-    z = _z_from_design(design)
-    return z, _suffix_weights(z, ks)
+    fit = fit_extrapolate(np.vander(p, N=C + 1, increasing=True), np.zeros(len(ks)), 0.0, ks=ks)
+    return fit.z, fit.w_star
 
 
 def _resolve(train, cfg: MsknnConfig):
@@ -289,18 +282,12 @@ def _resolve(train, cfg: MsknnConfig):
             raise ValueError(f"explicit scale {ks[-1]} exceeds n={n}")
     else:
         ks = select_ks(n, d, cfg.V)
-    if cfg.C > len(ks) - 1:
-        warnings.warn(
-            f"only {len(ks)} distinct scales; reducing C from {cfg.C} to {len(ks) - 1}",
-            stacklevel=3,
-        )
-        cfg = replace(cfg, C=len(ks) - 1, ks=None)
-    return points, ks, cfg
+    return points, ks
 
 
 def msknn_fit(train, query, labels01: np.ndarray, cfg: MsknnConfig) -> MsknnFit:
     """Full per-query pipeline: search, design, fit, implicit weights."""
-    points, ks, cfg = _resolve(train, cfg)
+    points, ks = _resolve(train, cfg)
     nl = knn_search(points, query, ks[-1])
     design, phi = build_design(nl, labels01, ks, cfg)
     fit = fit_extrapolate(design, phi, cfg.lam, ks=ks)
@@ -329,7 +316,7 @@ def msknn_classify(train: Dataset, query, cfg: MsknnConfig, m: int | None = None
     if not isinstance(train, Dataset):
         raise TypeError("msknn_classify needs a Dataset (labels required)")
     m = train.m if m is None else m
-    points, ks, cfg = _resolve(train, cfg)
+    points, ks = _resolve(train, cfg)
     nl = knn_search(points, query, ks[-1])
     if m == 2:
         design, phi = build_design(nl, train.labels == 1, ks, cfg)

@@ -26,12 +26,7 @@ from scipy.stats import qmc
 
 from .bench import _estimates
 from .errors import NumericalError
-from .multiscale import (
-    _suffix_weights,
-    _z_from_design,
-    fit_extrapolate,  # noqa: F401 -- not called here; perfbench's tracer probes this name
-    select_ks,
-)
+from .multiscale import fit_extrapolate, select_ks
 from .neighbors import knn_search_batch
 from .weights import SamworthParams, choose_a0, samworth_nonneg_weights, samworth_real_weights
 
@@ -551,6 +546,10 @@ def excess_risk_experiment(
             raise ValueError(f"unknown method {meth!r}; choose from {EXPERIMENT_METHODS}")
     if k_rule not in ("arithmetic", "ratio"):
         raise ValueError("k_rule must be 'arithmetic' or 'ratio'")
+    if C < 0:
+        raise ValueError("C must be non-negative")
+    if C > V - 1:
+        raise ValueError(f"C={C} needs at least C+1 scales, got V={V}")
     if k_rule == "ratio" and ell is None:
         ell = tuple(1.0 + 0.25 * v for v in range(V))
     n_grid = [int(n) for n in n_grid]
@@ -657,8 +656,7 @@ def weight_profile_report(
 
     ks = sorted({max(1, round(k_star * v / V)) for v in range(1, V + 1)})
     r = (np.asarray(ks, dtype=np.float64) / n) ** (1.0 / d)
-    C_eff = min(C, len(ks) - 1)
-    z = _z_from_design(np.vander(r**2, N=C_eff + 1, increasing=True))
-    w_star = _suffix_weights(z, ks)
+    design = np.vander(r**2, N=min(C, len(ks) - 1) + 1, increasing=True)
+    w_star = fit_extrapolate(design, np.zeros(len(ks)), 0.0, ks=ks).w_star
     rows += [("msknn_implicit", i + 1, float(w)) for i, w in enumerate(w_star)]
     return rows

@@ -217,11 +217,35 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("flag", ["--lambda", "--lam", "--lambda="])
+    def test_rates_flags_override_config(self, tmp_path, flag):
+        cfg_file, saved = tmp_path / "exp.cfg", tmp_path / "saved.cfg"
+        cfg_file.write_text("lam=0.5\nreps=2\nn_test=8\nn_grid=64,128\nmethods=bayes\n")
+        value = [flag + "0"] if flag.endswith("=") else [flag, "0"]
+        assert main(["rates", "--config", str(cfg_file), *value, "--save-config", str(saved)]) == 0
+        text = saved.read_text()
+        assert "lam=0.0" in text and "reps=2" in text
+
+    @pytest.mark.parametrize("C, message", [
+        ("4", "C=4 needs at least C+1 scales, got V=3"),
+        ("-1", "C must be non-negative"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--data", "iris"],
+        ["bench", "--data", "iris", "--verbose"],
+        ["rates", "--n-grid", "64", "--reps", "2", "--n-test", "8"],
+    ])
+    def test_order_outside_scales_exits_one(self, capsys, argv, C, message):
+        assert main([*argv, "--V", "3", "--C", C]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_verbose_fit_diagnostics(self, capsys):
         report = run_benchmark(iris_cfg(repeats=1, methods=("msknn-r",)), verbose=True)
         assert report.rows
         err = capsys.readouterr().err
-        assert "fit diagnostics" in err and "cond=" in err
+        assert "fit diagnostics" in err and "cond=" in err and "max|z|=" in err
 
 
 class TestNonFiniteFeatures:

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from msknn.bench import METHODS, _class_cumsums, _estimates
+from msknn.dataset import Dataset, normalize
 from msknn.multiscale import select_ks
 from msknn.neighbors import knn_search, knn_search_batch, radius_at
 
@@ -197,6 +198,38 @@ class TestPermutationInvariance:
             est, _ = _estimates(method, csums, dist, ks, d, 1, 1e-4)
             p_est, _ = _estimates(method, p_csums, p_dist, ks, d, 1, 1e-4)
             np.testing.assert_array_equal(p_est, est)
+
+
+@st.composite
+def affine_cases(draw):
+    """(train, queries, k, scale, shift, norm): per-feature scales in
+    [1e-3, 1e3], shifts up to 1e3 scaled feature spreads."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(3, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
+    spreads = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)))
+    k = draw(st.integers(1, n - 1))
+    norm = draw(st.sampled_from(["zscore", "minmax"]))
+    return rng.normal(size=(n, d)), rng.normal(size=(7, d)), k, scale, scale * spreads, norm
+
+
+def _bench_path_search(train, queries, k, norm):
+    """Normalize on the training split, transform the queries, search."""
+    train_norm, stats = normalize(Dataset(train, np.zeros(len(train)), 1), norm)
+    return knn_search_batch(train_norm.points, stats.transform(queries), k)
+
+
+class TestAffineInvariance:
+    @settings(max_examples=150)
+    @given(affine_cases())
+    def test_rescaled_features_keep_the_neighbours(self, case):
+        train, queries, k, scale, shift, norm = case
+        idx, dist = _bench_path_search(train, queries, k + 1, norm)
+        # a gap under 1e-9 relative may flip on the transform's rounding
+        assume(np.all(np.diff(dist, axis=1) > 1e-9 * dist[:, 1:]))
+        moved, _ = _bench_path_search(scale * train + shift, scale * queries + shift, k, norm)
+        np.testing.assert_array_equal(moved, idx[:, :k])
 
 
 @st.composite

@@ -1,10 +1,10 @@
 """The stacked ridge solve, and the batched paths that go through it.
 
 Properties over generated stacks check the solver against per-row lstsq and
-the closed-form weights; fixed-seed checks pin the batched scorer, as bench
-and the rates lab call it, to a per-query fit_extrapolate loop and to the
-Samworth-weighted label sums; a property pins batch search to single-query
-search on tie-heavy grids.
+its scale weights z against the intercept, at every lambda; fixed-seed
+checks pin the batched scorer, as bench and the rates lab call it, to a
+per-query fit_extrapolate loop and to the Samworth-weighted label sums; a
+property pins batch search to single-query search on tie-heavy grids.
 """
 
 import numpy as np
@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 from msknn.bench import METHODS, _class_cumsums, _estimates
 from msknn.errors import NumericalError
 from msknn.multiscale import (
+    MsknnConfig,
     _solve_coefficients,
     _suffix_weights,
-    _z_from_design,
     fit_extrapolate,
+    msknn_fit,
     select_ks,
 )
 from msknn.neighbors import knn_search, knn_search_batch
@@ -67,8 +68,9 @@ class TestStackedSolverProperties:
     @given(stacks())
     def test_rows_match_lstsq(self, case):
         design, phi, _, _, lam = case
-        coef, cond, flag = _solve_coefficients(design, phi, lam)
+        coef, z, cond, flag = _solve_coefficients(design, phi, lam)
         assert coef.shape == (len(design), design.shape[2], phi.shape[2])
+        assert z.shape == design.shape[:2]
         assert cond.shape == flag.shape == (len(design),)
         assert not flag.any()
         for i in range(len(design)):
@@ -77,16 +79,17 @@ class TestStackedSolverProperties:
 
     @settings(max_examples=200, deadline=None)
     @given(stacks())
-    def test_intercept_is_weighted_knn_at_lambda_zero(self, case):
+    def test_intercept_is_weighted_knn(self, case):
         design, phi, ks, y, _ = case
-        est = _solve_coefficients(design, phi, 0.0)[0][:, 0, :]
-        for i in range(len(design)):
-            z = _z_from_design(design[i])
-            assert abs(z.sum() - 1.0) <= 1e-10
-            np.testing.assert_allclose(est[i], z @ phi[i], atol=1e-10)
-            w_star = _suffix_weights(z, ks[i])
-            assert abs(w_star.sum() - 1.0) <= 1e-9
-            np.testing.assert_allclose(est[i], w_star @ y[i, : ks[i, -1]], atol=1e-10)
+        for lam in LAMBDAS:
+            coef, z, _, _ = _solve_coefficients(design, phi, lam)
+            est = coef[:, 0, :]
+            for i in range(len(design)):
+                assert abs(z[i].sum() - 1.0) <= 1e-10
+                np.testing.assert_allclose(est[i], z[i] @ phi[i], atol=1e-10)
+                w_star = _suffix_weights(z[i], ks[i])
+                assert abs(w_star.sum() - 1.0) <= 1e-9
+                np.testing.assert_allclose(est[i], w_star @ y[i, : ks[i, -1]], atol=1e-10)
 
     @settings(max_examples=200, deadline=None)
     @given(stacks(), st.floats(-2.0, 2.0))
@@ -102,7 +105,7 @@ class TestStackedSolverProperties:
         bad = np.vander([0.3, 0.3, 0.7], N=3, increasing=True)
         with pytest.raises(NumericalError, match="duplicated predictor values \\[0.3\\]"):
             _solve_coefficients(np.stack([good, bad]), np.ones((2, 3, 1)), 0.0)
-        _, _, flag = _solve_coefficients(np.stack([good, bad]), np.ones((2, 3, 1)), 1e-4)
+        _, _, _, flag = _solve_coefficients(np.stack([good, bad]), np.ones((2, 3, 1)), 1e-4)
         assert flag.tolist() == [False, True]
 
     def test_single_fit_is_the_stack_of_one(self):
@@ -111,9 +114,24 @@ class TestStackedSolverProperties:
         phi = rng.uniform(0, 1, 5)
         for lam in LAMBDAS:
             fit = fit_extrapolate(design, phi, lam)
-            coef, cond, _ = _solve_coefficients(design[None], phi[None, :, None], lam)
+            coef, _, cond, _ = _solve_coefficients(design[None], phi[None, :, None], lam)
             np.testing.assert_allclose(fit.coef, coef[0, :, 0], rtol=1e-13, atol=1e-13)
             assert fit.cond == cond[0]
+
+    def test_msknn_fit_carries_weights_at_the_default_lambda(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(500, 4))
+        y = (rng.random(500) < 0.5 + 0.1 * X[:, 0]).astype(float)
+        cfg = MsknnConfig()
+        assert cfg.lam > 0
+        for q in rng.normal(size=(20, 4)):
+            fit = msknn_fit(X, q, y, cfg)
+            assert fit.z is not None and fit.w_star is not None
+            assert abs(fit.z.sum() - 1.0) <= 1e-10
+            assert abs(fit.w_star.sum() - 1.0) <= 1e-9
+            assert fit.estimate == pytest.approx(fit.z @ fit.phi, abs=1e-10)
+            ordered = y[knn_search(X, q, fit.ks[-1]).indices]
+            assert fit.estimate == pytest.approx(fit.w_star @ ordered, abs=1e-9)
 
 
 def _search_problem(seed, n=300, d=3, m=3, n_q=60):
