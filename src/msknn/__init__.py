@@ -9,13 +9,7 @@ CLI live in the submodules.
 
 from .dataset import Dataset, NormStats, SplitSpec, load_csv, normalize, split
 from .errors import DataError, NumericalError
-from .estimators import (
-    WeightVector,
-    classify_multiclass,
-    plugin_classify,
-    unweighted_knn,
-    weighted_knn,
-)
+from .estimators import classify_multiclass, plugin_classify
 from .multiscale import (
     MsknnConfig,
     MsknnFit,
@@ -23,11 +17,10 @@ from .multiscale import (
     fit_extrapolate,
     implicit_weights,
     msknn_classify,
-    msknn_estimate,
     msknn_fit,
     select_ks,
 )
-from .neighbors import NeighborList, knn_search, knn_search_batch, radius_at
+from .neighbors import NeighborList, knn_search, knn_search_batch
 from .weights import (
     SamworthParams,
     choose_a0,
@@ -51,10 +44,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset", "NormStats", "SplitSpec", "load_csv", "normalize", "split",
     "DataError", "NumericalError",
-    "WeightVector", "classify_multiclass", "plugin_classify", "unweighted_knn", "weighted_knn",
+    "classify_multiclass", "plugin_classify",
     "MsknnConfig", "MsknnFit", "build_design", "fit_extrapolate", "implicit_weights",
-    "msknn_classify", "msknn_estimate", "msknn_fit", "select_ks",
-    "NeighborList", "knn_search", "knn_search_batch", "radius_at",
+    "msknn_classify", "msknn_fit", "select_ks",
+    "NeighborList", "knn_search", "knn_search_batch",
     "SamworthParams", "choose_a0", "delta_array",
     "samworth_nonneg_weights", "samworth_real_weights",
     "BenchConfig", "BenchReport", "bundled_path", "run_benchmark",

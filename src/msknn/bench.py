@@ -138,10 +138,10 @@ def _estimates(
         est = np.empty((n_q, m))
         for k_base in np.unique(kq[:, -1]).tolist():
             if method == "snn":
-                w = samworth_nonneg_weights(k_base, d).weights
+                w = samworth_nonneg_weights(k_base, d)
             else:
                 a0 = choose_a0(k_base, d) if k_base >= 2 else 1.0
-                w = samworth_real_weights(SamworthParams(k_base, d, a0)).weights
+                w = samworth_real_weights(SamworthParams(k_base, d, a0))
             rows = kq[:, -1] == k_base
             # estimate = w . onehot = sum_i w_i * diff(csum)_i; a matmul, whose
             # sums match w @ labels bit for bit (einsum's need not)

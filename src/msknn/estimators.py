@@ -1,63 +1,8 @@
-"""Plug-in estimators and classifiers over a neighbour ordering."""
+"""Plug-in classifiers: the threshold for one estimate and the argmax over classes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .neighbors import NeighborList
-
-#: Weight schemes whose vectors must sum to 1.
-NORMALIZED_SCHEMES = ("uniform", "samworth_nonneg", "samworth_real", "msknn_implicit")
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Real-valued neighbour weights plus the scheme that produced them."""
-
-    weights: np.ndarray
-    scheme: str = "custom"
-
-    def __post_init__(self):
-        w = np.ascontiguousarray(self.weights, dtype=np.float64)
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        if w.ndim != 1 or len(w) < 1:
-            raise ValueError("weights must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if self.scheme in NORMALIZED_SCHEMES and abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"{self.scheme} weights must sum to 1, got {w.sum()!r}")
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    @classmethod
-    def uniform(cls, k: int) -> "WeightVector":
-        if k < 1:
-            raise ValueError("k must be positive")
-        return cls(np.full(k, 1.0 / k), scheme="uniform")
-
-
-def unweighted_knn(nl: NeighborList, labels01: np.ndarray, k: int) -> float:
-    """Mean of the binary labels of the k nearest neighbours."""
-    if not 1 <= k <= len(nl):
-        raise ValueError(f"k={k} out of range for a {len(nl)}-neighbour list")
-    labels01 = np.asarray(labels01)
-    return float(labels01[nl.indices[:k]].mean())
-
-
-def weighted_knn(nl: NeighborList, labels01: np.ndarray, w: WeightVector) -> float:
-    """Inner product of weights with the distance-ordered labels.
-
-    Real-valued weights may push the result outside [0, 1]; no clipping is
-    applied because the classifiers below only threshold or argmax.
-    """
-    if len(w) > len(nl):
-        raise ValueError(f"{len(w)} weights but only {len(nl)} neighbours")
-    labels01 = np.asarray(labels01, dtype=np.float64)
-    return float(w.weights @ labels01[nl.indices[: len(w)]])
 
 
 def plugin_classify(estimate: float) -> int:

@@ -27,7 +27,7 @@ same solve returns z, so the weights cost no second solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,14 +79,14 @@ class MsknnFit:
 
     z holds the scale weights (estimate == z . phi) and w_star the
     per-neighbour weights (estimate == w_star . ordered labels), at every
-    lam; w_star is None when the fit was made without its scales ks.
+    lam; ks is () and w_star None when the fit was made without its scales.
+    The predictor (radius or log k) is not stored: the design encodes it.
     """
 
     design: np.ndarray
     coef: np.ndarray
     phi: np.ndarray
     ks: tuple[int, ...]
-    predictor: str
     cond: float
     rank_deficient: bool
     z: np.ndarray
@@ -239,7 +239,6 @@ def fit_extrapolate(
         coef=coef[:, 0],
         phi=phi,
         ks=tuple(int(k) for k in ks) if ks is not None else (),
-        predictor="",
         cond=float(cond),
         rank_deficient=bool(rank_deficient),
         z=z,
@@ -290,13 +289,7 @@ def msknn_fit(train, query, labels01: np.ndarray, cfg: MsknnConfig) -> MsknnFit:
     points, ks = _resolve(train, cfg)
     nl = knn_search(points, query, ks[-1])
     design, phi = build_design(nl, labels01, ks, cfg)
-    fit = fit_extrapolate(design, phi, cfg.lam, ks=ks)
-    return replace(fit, predictor=cfg.predictor)
-
-
-def msknn_estimate(train, query, labels01: np.ndarray, cfg: MsknnConfig) -> float:
-    """Extrapolated estimate of P(Y=1 | X=query): the fitted intercept."""
-    return msknn_fit(train, query, labels01, cfg).estimate
+    return fit_extrapolate(design, phi, cfg.lam, ks=ks)
 
 
 def per_class_estimates(

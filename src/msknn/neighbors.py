@@ -5,15 +5,16 @@ and square roots are taken only for the distances that leave this module.
 Every such distance is computed as np.square(q - p).sum(-1), so the two
 searches agree bit for bit, near-ties included.
 
-`knn_search` (one query) is brute force with partial selection.
-`knn_search_batch` prunes with GEMM-style approximate distances
-|p|^2 - 2 q.p, keeps every point within a proven floating-point bound of
-the k_max-th, and orders only those candidates with the exact arithmetic;
-its docstring gives the bound. It builds no (queries, n, d) tensor and
-sorts no full row of n distances. The candidates are sorted by distance
-with an unstable sort; only rows with equal (or non-finite) distances
-among their first k_max + 1 then put each run of equal distances back in
-index order.
+`knn_search` (one query) is brute force with partial selection and
+returns a `NeighborList`, whose distances[k - 1] is the k-th neighbour's
+radius. `knn_search_batch` returns (indices, distances) arrays. It prunes
+with GEMM-style approximate distances |p|^2 - 2 q.p, keeps every point
+within a proven floating-point bound of the k_max-th, and orders only those
+candidates with the exact arithmetic; its docstring gives the bound. It
+builds no (queries, n, d) tensor and sorts no full row of n distances. The
+candidates are sorted by distance with an unstable sort; only rows with
+equal (or non-finite) distances among their first k_max + 1 then put each
+run of equal distances back in index order.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class NeighborList:
 
     indices: np.ndarray
     distances: np.ndarray
-    query: np.ndarray
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -67,7 +67,7 @@ def knn_search(train, query, k_max: int) -> NeighborList:
         cand = np.flatnonzero(d2 <= d2[part].max())
     order = np.lexsort((cand, d2[cand]))
     sel = cand[order][:k_max]
-    return NeighborList(indices=sel, distances=np.sqrt(d2[sel]), query=query)
+    return NeighborList(indices=sel, distances=np.sqrt(d2[sel]))
 
 
 def knn_search_batch(train, queries: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -228,9 +228,3 @@ def _index_order_ties(full, cand, order, k_max):
     rank = np.argsort(run_start * (ids.max() + 1) + ids, axis=1)[:, :k_max]
     return np.take_along_axis(ids, rank, axis=1)
 
-
-def radius_at(nl: NeighborList, k: int) -> float:
-    """Distance to the k-th nearest neighbour (1-based)."""
-    if not 1 <= k <= len(nl):
-        raise ValueError(f"k={k} out of range for a {len(nl)}-neighbour list")
-    return float(nl.distances[k - 1])

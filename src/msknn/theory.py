@@ -26,7 +26,7 @@ from scipy.stats import qmc
 
 from .bench import _estimates
 from .errors import NumericalError
-from .multiscale import fit_extrapolate, select_ks
+from .multiscale import MsknnConfig, fit_extrapolate, select_ks
 from .neighbors import knn_search_batch
 from .weights import SamworthParams, choose_a0, samworth_nonneg_weights, samworth_real_weights
 
@@ -78,49 +78,8 @@ class UniformBox:
 
 
 @dataclass(frozen=True)
-class UniformBall:
-    """Uniform density on a Euclidean ball."""
-
-    center: tuple[float, ...]
-    radius: float
-
-    @property
-    def d(self) -> int:
-        return len(self.center)
-
-    @property
-    def volume(self) -> float:
-        d = self.d
-        return float(math.pi ** (d / 2) / math.gamma(d / 2 + 1) * self.radius**d)
-
-    def pdf_value(self) -> float:
-        return 1.0 / self.volume
-
-    def contains(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(X)
-        return np.square(X - np.asarray(self.center)).sum(axis=1) <= self.radius**2
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        # rejection from the bounding box; acceptance rate is fine for d <= 10
-        out = np.empty((n, self.d))
-        filled = 0
-        c = np.asarray(self.center)
-        while filled < n:
-            cand = rng.uniform(-1.0, 1.0, size=(2 * (n - filled) + 8, self.d))
-            cand = c + self.radius * cand
-            keep = cand[self.contains(cand)]
-            take = min(len(keep), n - filled)
-            out[filled : filled + take] = keep[:take]
-            filled += take
-        return out
-
-    def grad_log_pdf(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros(self.d)
-
-
-@dataclass(frozen=True)
 class RadialPolynomialEta:
-    """eta(x) = clip(c0 + sum_j coeffs[j] * ||x - center||^(2j+2)) into [lo, hi].
+    """eta(x) = clip(c0 + sum_j coeffs[j] * ||x - center||^(2j+2)) into [0, 1].
 
     The clip keeps eta a probability globally; coefficients are chosen so the
     clip never activates near the evaluation region, where the closed-form
@@ -130,7 +89,6 @@ class RadialPolynomialEta:
     center: tuple[float, ...]
     c0: float
     coeffs: tuple[float, ...]
-    clip: tuple[float, float] = (0.0, 1.0)
 
     def _t(self, X: np.ndarray) -> np.ndarray:
         return np.square(np.atleast_2d(X) - np.asarray(self.center)).sum(axis=1)
@@ -140,7 +98,7 @@ class RadialPolynomialEta:
         val = np.full_like(t, self.c0)
         for j, c in enumerate(self.coeffs):
             val += c * t ** (j + 1)
-        return np.clip(val, self.clip[0], self.clip[1])
+        return np.clip(val, 0.0, 1.0)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -158,9 +116,15 @@ class RadialPolynomialEta:
 
 @dataclass(frozen=True)
 class SyntheticProblem:
-    """A classification problem with known eta, density, and regularity."""
+    """A classification problem with known eta, density, and regularity.
 
-    density: UniformBox | UniformBall
+    bayes_risk is the irreducible risk E[min(eta, 1 - eta)] in closed form;
+    every shipped problem sets it, and `excess_risk_experiment` needs it.
+    alpha and beta are the margin and smoothness exponents; the ratio scale
+    rule reads beta.
+    """
+
+    density: UniformBox
     eta: RadialPolynomialEta
     alpha: float
     beta: float
@@ -174,12 +138,6 @@ class SyntheticProblem:
         X = self.density.sample(rng, n)
         Y = (rng.random(n) < self.eta.value(X)).astype(np.int64)
         return X, Y
-
-    def bayes_error(self, budget: int = 200_000) -> float:
-        """E[min(eta, 1-eta)], the irreducible risk; cached analytic if given."""
-        if self.bayes_risk is not None:
-            return self.bayes_risk
-        return _bayes_error_numeric(self, budget)
 
 
 def quadratic_problem_1d() -> SyntheticProblem:
@@ -355,53 +313,6 @@ def analytic_b1(problem: SyntheticProblem, x_star) -> float:
     return float((lap + 2.0 * grad @ glp) / (2.0 * problem.d + 4.0))
 
 
-def _bayes_error_numeric(problem: SyntheticProblem, budget: int) -> float:
-    """Composite tensor quadrature of min(eta, 1-eta) over the support.
-
-    The integrand has a kink along the decision boundary, so the support is
-    subdivided into cells with moderate-order Gauss-Legendre per cell.
-    """
-    dens = problem.density
-    d = problem.d
-    if isinstance(dens, UniformBox) and d <= 3:
-        cells = max(2, int((budget / 8**d) ** (1.0 / d)))
-        nodes = 8
-        q, w = _gl(nodes)
-        lo = np.asarray(dens.lows)
-        hi = np.asarray(dens.highs)
-        edges = [np.linspace(lo[j], hi[j], cells + 1) for j in range(d)]
-        axes_pts, axes_wts = [], []
-        for j in range(d):
-            a = edges[j][:-1]
-            b = edges[j][1:]
-            mid = (a + b) / 2.0
-            half = (b - a) / 2.0
-            axes_pts.append((mid[:, None] + half[:, None] * q).ravel())
-            axes_wts.append((half[:, None] * w).ravel())
-        grids = np.meshgrid(*axes_pts, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        wts = axes_wts[0]
-        for j in range(1, d):
-            wts = np.multiply.outer(wts, axes_wts[j])
-        wts = wts.ravel() * dens.pdf_value()
-    else:
-        sob = qmc.Sobol(d, scramble=True, seed=99)
-        if isinstance(dens, UniformBox):
-            lo = np.asarray(dens.lows)
-            hi = np.asarray(dens.highs)
-            pts = lo + (hi - lo) * sob.random_base2(17)
-            wts = np.full(len(pts), 1.0 / len(pts))
-        else:
-            c = np.asarray(dens.center)
-            R = dens.radius
-            raw = c - R + 2 * R * sob.random_base2(17)
-            inside = dens.contains(raw)
-            pts = raw[inside]
-            wts = np.full(len(pts), 1.0 / max(1, len(pts)))
-    e = problem.eta.value(pts)
-    return float(wts @ np.minimum(e, 1.0 - e))
-
-
 # ---------------------------------------------------------------------------
 # excess-risk experiments
 # ---------------------------------------------------------------------------
@@ -552,8 +463,10 @@ def excess_risk_experiment(
         raise ValueError(f"C={C} needs at least C+1 scales, got V={V}")
     if k_rule == "ratio" and ell is None:
         ell = tuple(1.0 + 0.25 * v for v in range(V))
+    bayes = problem.bayes_risk
+    if bayes is None:
+        raise ValueError("the problem needs a closed-form bayes_risk")
     n_grid = [int(n) for n in n_grid]
-    bayes = problem.bayes_error()
 
     per_rep = np.empty((len(methods), len(n_grid), reps))
     rank_deficient = {m: 0 for m in methods if m.startswith("msknn")}
@@ -600,7 +513,6 @@ def excess_risk_experiment(
 _CONFIG_TYPES = {
     "problem": str, "methods": str, "n_grid": str, "reps": int, "n_test": int,
     "seed": int, "V": int, "C": int, "lam": float, "k_rule": str, "ell": str,
-    "baseline_k_factor": int,
 }
 
 
@@ -641,22 +553,29 @@ def weight_profile_report(
     """(scheme, i, w_i) rows for the three weighting schemes at shared k*.
 
     The multiscale rows use idealized radii r_v = (k_v / n)^(1/d) for scales
-    k_v = k* v / V, producing the piecewise-constant suffix-sum profile.
+    k_v = round(k* v / V), producing the piecewise-constant suffix-sum
+    profile. V and C are checked as `MsknnConfig` checks them, and scales
+    that rounding merges below C + 1 distinct values raise.
     """
-    if min(n, d, k_star, V, C) < 1:
+    MsknnConfig(V=V, C=C)
+    if min(n, d, k_star, C) < 1:
         raise ValueError("all profile parameters must be positive")
     if k_star > n:
         raise ValueError("k_star cannot exceed n")
+    ks = sorted({max(1, round(k_star * v / V)) for v in range(1, V + 1)})
+    if len(ks) < C + 1:
+        raise ValueError(
+            f"k_star={k_star} rounds the V={V} scales to ks={ks}, fewer than C+1={C + 1}"
+        )
     rows: list[tuple[str, int, float]] = []
-    wn = samworth_nonneg_weights(k_star, d).weights
+    wn = samworth_nonneg_weights(k_star, d)
     rows += [("samworth_nonneg", i + 1, float(w)) for i, w in enumerate(wn)]
     a0 = choose_a0(k_star, d) if k_star >= 2 else 1.0
-    wr = samworth_real_weights(SamworthParams(k_star, d, a0)).weights
+    wr = samworth_real_weights(SamworthParams(k_star, d, a0))
     rows += [("samworth_real", i + 1, float(w)) for i, w in enumerate(wr)]
 
-    ks = sorted({max(1, round(k_star * v / V)) for v in range(1, V + 1)})
     r = (np.asarray(ks, dtype=np.float64) / n) ** (1.0 / d)
-    design = np.vander(r**2, N=min(C, len(ks) - 1) + 1, increasing=True)
+    design = np.vander(r**2, N=C + 1, increasing=True)
     w_star = fit_extrapolate(design, np.zeros(len(ks)), 0.0, ks=ks).w_star
     rows += [("msknn_implicit", i + 1, float(w)) for i, w in enumerate(w_star)]
     return rows

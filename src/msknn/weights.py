@@ -15,7 +15,8 @@ nearest-neighbour classifiers:
 
 The free a0 is not pinned by the constraints; `choose_a0` picks the variance
 proxy minimizer (smallest sum of squared weights within the family), which is
-closed-form because every weight is affine in a0.
+closed-form because every weight is affine in a0. Both constructions
+return a plain float64 vector of length k*.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .estimators import WeightVector
 
 
 def delta_array(k: int, ell: int, d: int) -> np.ndarray:
@@ -37,7 +36,7 @@ def delta_array(k: int, ell: int, d: int) -> np.ndarray:
     return np.diff(grid)
 
 
-def samworth_nonneg_weights(k_star: int, d: int) -> WeightVector:
+def samworth_nonneg_weights(k_star: int, d: int) -> np.ndarray:
     """Optimal non-negative weights of length k_star.
 
     Mathematically every entry is positive and the sum telescopes to 1;
@@ -53,17 +52,16 @@ def samworth_nonneg_weights(k_star: int, d: int) -> WeightVector:
     total = w.sum()
     if abs(total - 1.0) > 1e-12:
         w = w / total
-    return WeightVector(w, scheme="samworth_nonneg")
+    return w
 
 
 @dataclass(frozen=True)
 class SamworthParams:
-    """Parameters of the real-valued family (only u = 2 has a closed form)."""
+    """Parameters of the real-valued family for u = 2, the one with a closed form."""
 
     k_star: int
     d: int
     a0: float
-    u: int = 2
 
     def __post_init__(self):
         if self.k_star < 1:
@@ -72,7 +70,7 @@ class SamworthParams:
             raise ValueError("d must be positive")
 
 
-def samworth_real_weights(p: SamworthParams) -> WeightVector:
+def samworth_real_weights(p: SamworthParams) -> np.ndarray:
     """Real-valued optimal weights for u = 2.
 
     a1 and a2 follow from a0 via
@@ -81,14 +79,12 @@ def samworth_real_weights(p: SamworthParams) -> WeightVector:
     which force sum(w) = 1 exactly by the telescoping identity
     sum_i dl_i = k*^{1+2l/d}.
     """
-    if p.u != 2:
-        raise ValueError(f"only u=2 has a closed-form solution, got u={p.u}")
     k, d, a0 = p.k_star, p.d, p.a0
     k2 = k ** (2.0 / d)
     a1 = ((d + 4) ** 2 / 4.0 - 2.0 * (d + 4) / (d + 2) * a0) / k2
     a2 = (1.0 - a0 - k2 * a1) / k2**2
     w = (a0 + a1 * delta_array(k, 1, d) + a2 * delta_array(k, 2, d)) / k
-    return WeightVector(w, scheme="samworth_real")
+    return w
 
 
 def choose_a0(k_star: int, d: int) -> float:
@@ -99,8 +95,8 @@ def choose_a0(k_star: int, d: int) -> float:
     """
     if k_star < 2:
         raise ValueError("k_star must be at least 2 to leave a free direction")
-    w0 = samworth_real_weights(SamworthParams(k_star, d, a0=0.0)).weights
-    w1 = samworth_real_weights(SamworthParams(k_star, d, a0=1.0)).weights
+    w0 = samworth_real_weights(SamworthParams(k_star, d, a0=0.0))
+    w1 = samworth_real_weights(SamworthParams(k_star, d, a0=1.0))
     slope = w1 - w0
     denom = float(slope @ slope)
     if denom <= 1e-30:

@@ -15,7 +15,6 @@ import pytest
 from msknn.bench import BenchConfig, bundled_path, run_benchmark
 from msknn.cli import main
 from msknn.dataset import Dataset
-from msknn.estimators import WeightVector, weighted_knn
 from msknn.multiscale import (
     MsknnConfig,
     fit_extrapolate,
@@ -33,6 +32,7 @@ from msknn.theory import (
     smooth_problem_2d,
 )
 from msknn.weights import SamworthParams, choose_a0, samworth_nonneg_weights, samworth_real_weights
+from oracles import weighted_knn
 
 
 def report(num: int, ok: bool, desc: str, detail: str = "") -> None:
@@ -96,7 +96,7 @@ def test_c03_c04_equivalence_and_normalization():
         cfg = MsknnConfig(C=C, lam=0.0, ks=ks)
         fit = msknn_fit(pts, q, labels, cfg)
         nl = knn_search(pts, q, ks[-1])
-        direct = weighted_knn(nl, labels, WeightVector(fit.w_star, "msknn_implicit"))
+        direct = weighted_knn(nl, labels, fit.w_star)
         worst_eq = max(worst_eq, abs(fit.estimate - direct))
         worst_z = max(worst_z, abs(fit.z.sum() - 1.0))
         worst_w = max(worst_w, abs(fit.w_star.sum() - 1.0))
@@ -138,7 +138,7 @@ def test_c06_bias_expansion_coefficients():
 
 
 def test_c07_samworth_weight_structure():
-    w6 = samworth_nonneg_weights(100, 10).weights
+    w6 = samworth_nonneg_weights(100, 10)
     ok6 = abs(w6.sum() - 1.0) <= 1e-12 and np.all(np.diff(w6) <= 0) and w6[-1] <= 1e-3
 
     rng = np.random.default_rng(77)
@@ -147,10 +147,10 @@ def test_c07_samworth_weight_structure():
         k = int(rng.integers(1, 400))
         d = int(rng.integers(1, 30))
         a0 = float(rng.uniform(-10, 10))
-        w = samworth_real_weights(SamworthParams(k, d, a0)).weights
+        w = samworth_real_weights(SamworthParams(k, d, a0))
         worst = max(worst, abs(w.sum() - 1.0))
     a0_star = choose_a0(100, 10)
-    w9 = samworth_real_weights(SamworthParams(100, 10, a0_star)).weights
+    w9 = samworth_real_weights(SamworthParams(100, 10, a0_star))
     has_negative = bool(w9.min() < 0)
 
     ok = ok6 and worst <= 1e-9 and has_negative

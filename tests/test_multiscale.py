@@ -5,18 +5,18 @@ import pytest
 
 from msknn.dataset import Dataset
 from msknn.errors import NumericalError
-from msknn.estimators import WeightVector, plugin_classify, weighted_knn
+from msknn.estimators import plugin_classify
 from msknn.multiscale import (
     MsknnConfig,
     build_design,
     fit_extrapolate,
     implicit_weights,
     msknn_classify,
-    msknn_estimate,
     msknn_fit,
     select_ks,
 )
 from msknn.neighbors import knn_search
+from oracles import weighted_knn
 
 
 class TestSelectKs:
@@ -159,7 +159,7 @@ class TestImplicitWeights:
             cfg = MsknnConfig(C=int(rng.integers(1, 3)), lam=0.0, ks=tuple(ks))
             fit = msknn_fit(pts, q, labels, cfg)
             nl = knn_search(pts, q, ks[-1])
-            direct = weighted_knn(nl, labels, WeightVector(fit.w_star, "msknn_implicit"))
+            direct = weighted_knn(nl, labels, fit.w_star)
             assert abs(fit.estimate - direct) <= 1e-9
 
     def test_piecewise_constant_suffix_structure(self):
@@ -196,7 +196,7 @@ class TestEstimate:
         rng = np.random.default_rng(11)
         pts = rng.normal(size=(60, 3))
         for cfg in (MsknnConfig(), MsknnConfig(lam=0.0), MsknnConfig(predictor="log_k")):
-            est = msknn_estimate(pts, rng.normal(size=3), np.ones(60), cfg)
+            est = msknn_fit(pts, rng.normal(size=3), np.ones(60), cfg).estimate
             assert est == pytest.approx(1.0, abs=1e-9)
 
     def test_two_point_linear_extrapolation(self):
@@ -217,7 +217,8 @@ class TestEstimate:
         # all scales seeing the same labels with C=0 return that common value
         pts = np.array([[0.0], [1.0], [2.0], [3.0]])
         labels = np.array([1.0, 1.0, 1.0, 1.0])
-        est = msknn_estimate(pts, np.array([-0.5]), labels, MsknnConfig(C=0, lam=0.0, ks=(2, 4)))
+        cfg = MsknnConfig(C=0, lam=0.0, ks=(2, 4))
+        est = msknn_fit(pts, np.array([-0.5]), labels, cfg).estimate
         assert est == pytest.approx(1.0, abs=1e-12)
 
     def test_bias_eradication_monte_carlo(self):
@@ -242,7 +243,7 @@ class TestEstimate:
     def test_explicit_ks_must_fit_n(self):
         pts = np.zeros((10, 2))
         with pytest.raises(ValueError):
-            msknn_estimate(pts, np.zeros(2), np.zeros(10), MsknnConfig(ks=(5, 20)))
+            msknn_fit(pts, np.zeros(2), np.zeros(10), MsknnConfig(ks=(5, 20)))
 
 
 class TestClassify:
@@ -258,7 +259,7 @@ class TestClassify:
         cfg = MsknnConfig(V=4, C=1, lam=1e-4)
         for _ in range(20):
             q = rng.normal(size=3)
-            est = msknn_estimate(data.points, q, (data.labels == 1).astype(float), cfg)
+            est = msknn_fit(data.points, q, (data.labels == 1).astype(float), cfg).estimate
             assert msknn_classify(data, q, cfg) == plugin_classify(est)
 
     def test_argmax_on_estimates(self):

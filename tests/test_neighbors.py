@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from msknn.bench import METHODS, _class_cumsums, _estimates
 from msknn.dataset import Dataset, normalize
 from msknn.multiscale import select_ks
-from msknn.neighbors import knn_search, knn_search_batch, radius_at
+from msknn.neighbors import knn_search, knn_search_batch
 
 
 def sort_oracle(points, query, k_max):
@@ -34,15 +34,12 @@ class TestKnnSearch:
         nl = knn_search(np.array([[0.0], [1.0], [2.0]]), np.array([0.9]), 2)
         assert list(nl.indices) == [1, 0]
         np.testing.assert_allclose(nl.distances, [0.1, 0.9])
-        assert radius_at(nl, 1) == pytest.approx(0.1)
-        assert radius_at(nl, 2) == pytest.approx(0.9)
 
     def test_query_on_training_point(self):
         pts = np.array([[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
         nl = knn_search(pts, np.array([0.0, 0.0]), 3)
         assert nl.indices[0] == 1
         assert nl.distances[0] == 0.0
-        assert radius_at(nl, 1) == 0.0
 
     def test_k_max_equals_n(self):
         rng = np.random.default_rng(0)
@@ -59,11 +56,6 @@ class TestKnnSearch:
             knn_search(pts, np.zeros(2), 5)
         with pytest.raises(ValueError):
             knn_search(pts, np.zeros(3), 2)
-        nl = knn_search(pts, np.zeros(2), 4)
-        with pytest.raises(ValueError):
-            radius_at(nl, 0)
-        with pytest.raises(ValueError):
-            radius_at(nl, 5)
 
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(11)
@@ -87,8 +79,7 @@ class TestKnnSearch:
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(100, 3))
         nl = knn_search(pts, rng.normal(size=3), 100)
-        radii = [radius_at(nl, k) for k in range(1, 101)]
-        assert all(b >= a for a, b in zip(radii, radii[1:]))
+        assert np.all(np.diff(nl.distances) >= 0)
 
 
 class TestBatch:

