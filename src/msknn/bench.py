@@ -28,7 +28,7 @@ import numpy as np
 
 from .dataset import Dataset, SplitSpec, load_csv, normalize, split
 from .errors import DataError, NumericalError
-from .multiscale import _solve_coefficients, _vander, select_ks
+from .multiscale import MsknnConfig, _solve_coefficients, _vander, msknn_fit, select_ks
 from .neighbors import knn_search_batch
 from .weights import SamworthParams, choose_a0, samworth_nonneg_weights, samworth_real_weights
 
@@ -58,10 +58,7 @@ class BenchConfig:
         for meth in self.methods:
             if meth not in METHODS:
                 raise ValueError(f"unknown method {meth!r}; choose from {METHODS}")
-        if self.C < 0:
-            raise ValueError("C must be non-negative")
-        if self.C > self.V - 1:
-            raise ValueError(f"C={self.C} needs at least C+1 scales, got V={self.V}")
+        MsknnConfig(V=self.V, C=self.C, lam=self.lam)
 
 
 @dataclass(frozen=True)
@@ -204,8 +201,6 @@ def _bench_dataset(
         csums = _class_cumsums(ordered, data.m)
 
         if verbose and rep == 0 and any(m.startswith("msknn") for m in cfg.methods):
-            from .multiscale import MsknnConfig, msknn_fit
-
             try:
                 fit = msknn_fit(
                     train_norm.points,

@@ -19,6 +19,7 @@ from .theory import (
     excess_risk_experiment,
     fit_bias_expansion,
     load_experiment_config,
+    profile_scales,
     quadratic_problem_1d,
     quadratic_problem_2d,
     save_experiment_config,
@@ -153,6 +154,10 @@ def _cmd_bench(args) -> int:
 
 def _cmd_weights(args) -> int:
     rows = weight_profile_report(args.n, args.d, args.k_star, args.V, args.C)
+    ks = profile_scales(args.k_star, args.V)
+    if len(ks) < args.V:
+        print(f"# k_star={args.k_star} rounds the V={args.V} scales to ks={ks}; "
+              f"msknn_implicit uses these {len(ks)}", file=sys.stderr)
     lines = ["scheme,i,weight"]
     lines += [f"{scheme},{i},{w!r}" for scheme, i, w in rows]
     _write("\n".join(lines) + "\n", args.out)

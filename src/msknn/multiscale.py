@@ -34,7 +34,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import NumericalError
 from .estimators import plugin_classify, classify_multiclass
-from .neighbors import NeighborList, knn_search
+from .neighbors import NeighborList, _points_of, knn_search
 
 PREDICTORS = ("radius", "log_k")
 
@@ -273,7 +273,7 @@ def implicit_weights(nl: NeighborList, ks, C: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _resolve(train, cfg: MsknnConfig):
-    points = train.points if isinstance(train, Dataset) else np.asarray(train, dtype=np.float64)
+    points = _points_of(train)
     n, d = points.shape
     if cfg.ks is not None:
         ks = list(cfg.ks)

@@ -2,12 +2,12 @@
 
 Squared distances are compared, ties are broken by ascending training index,
 and square roots are taken only for the distances that leave this module.
-Every such distance is computed as np.square(q - p).sum(-1), so the two
-searches agree bit for bit, near-ties included.
+Every such distance is computed as np.square(q - p).sum(-1), so the result
+agrees bit for bit with a full stable sort, near-ties included.
 
-`knn_search` (one query) is brute force with partial selection and
-returns a `NeighborList`, whose distances[k - 1] is the k-th neighbour's
-radius. `knn_search_batch` returns (indices, distances) arrays. It prunes
+There is one search, `knn_search_batch`, which returns (indices, distances)
+arrays. `knn_search` (one query) is its row 0, returned as a `NeighborList`
+whose distances[k - 1] is the k-th neighbour's radius. The search prunes
 with GEMM-style approximate distances |p|^2 - 2 q.p, keeps every point
 within a proven floating-point bound of the k_max-th, and orders only those
 candidates with the exact arithmetic; its docstring gives the bound. It
@@ -44,47 +44,34 @@ def _points_of(train) -> np.ndarray:
 
 
 def knn_search(train, query, k_max: int) -> NeighborList:
-    """Exact k_max nearest neighbours of `query` among the training points.
+    """Exact k_max nearest neighbours of `query`: row 0 of `knn_search_batch`.
 
     Ties in distance are resolved toward the smaller training index, so the
     result matches a full stable sort on every input.
     """
     points = _points_of(train)
     query = np.asarray(query, dtype=np.float64)
-    n = len(points)
     if query.shape != (points.shape[1],):
         raise ValueError(f"query has shape {query.shape}, expected ({points.shape[1]},)")
-    if not 1 <= k_max <= n:
-        raise ValueError(f"k_max={k_max} out of range for {n} training points")
-
-    d2 = np.square(points - query).sum(axis=1)
-    if k_max == n:
-        cand = np.arange(n)
-    else:
-        part = np.argpartition(d2, k_max - 1)[:k_max]
-        # include every point tied with the k_max-th distance before breaking
-        # ties by index, otherwise argpartition's arbitrary boundary choice leaks
-        cand = np.flatnonzero(d2 <= d2[part].max())
-    order = np.lexsort((cand, d2[cand]))
-    sel = cand[order][:k_max]
-    return NeighborList(indices=sel, distances=np.sqrt(d2[sel]))
+    indices, distances = knn_search_batch(points, query[None], k_max)
+    return NeighborList(indices=indices[0], distances=distances[0])
 
 
 def knn_search_batch(train, queries: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Neighbour orderings for many queries at once.
 
     Returns (indices, distances), each of shape (n_queries, k_max), row i
-    agreeing exactly with knn_search(train, queries[i], k_max): the first
-    k_max of a stable sort of the squared distances, ties in index order.
+    holding the first k_max of a stable sort of queries[i]'s squared
+    distances, ties in index order.
 
     Queries go in blocks of about 2e6 / n rows, so that each block's
     (rows, n) temporaries hold about 2e6 float64. A block takes three steps.
 
     1. Prune. One GEMM gives a = |p|^2 - 2 q.p for every pair, the squared
        distance less the row constant |q|^2, on points and queries centred
-       on the training mean (centring keeps the bound below tight on
-       uncentred data). An argpartition finds each row's k_max-th smallest
-       a, called A.
+       on the training mean, computed as ones @ points / n. Centring keeps
+       the bound below tight on uncentred data; any centre keeps it valid.
+       An argpartition finds each row's k_max-th smallest a, called A.
     2. Keep the candidates: every point with a <= A + slack, where
        slack = 8 (d + 8) eps (max |p|^2 + |q|^2 + tiny), norms taken after
        centring. In the common case the (k_max+1)-th smallest a already
@@ -98,16 +85,16 @@ def knn_search_batch(train, queries: np.ndarray, k_max: int) -> tuple[np.ndarray
        distances strictly increase keeps its first k_max as they are; in
        any other row each run of equal distances is put in index order
        over all its candidates (`_order_exactly`). Every distance that
-       leaves this function is therefore bit-identical to the single-query
-       and full-sort paths.
+       leaves this function is therefore bit-identical to a full sort's.
 
     Why the candidates hold the answer. Let e be the squared distance of
     step 3 and a' = a + |q|^2. With unit roundoff u = eps / 2,
     S = |p|^2 + |q|^2 (centred) and gamma_n = n u / (1 - n u), the
     dot-product bound gives |a' - t'| <= (2 gamma_{d+1} + gamma_d) S, for t'
-    the true squared distance of the rounded centred points. Centring
-    moves the true distance by at most 4 u S and step 3 errs by at most
-    (2 gamma_d + 6 u) S, so |a' - e| <= b = (5 d + 12) u S to first order.
+    the true squared distance of the rounded centred points. Rounding
+    p - c and q - c moves the true distance by at most 4 u S, whatever the
+    centre c, and step 3 errs by at most (2 gamma_d + 6 u) S, so
+    |a' - e| <= b = (5 d + 12) u S to first order.
     Gradual underflow adds at most u * tiny per product, 3 d of them. A
     point among the true k_max nearest has e <= E, the true k_max-th
     distance, and E <= A + |q|^2 + b because k_max points have a <= A; so
@@ -131,17 +118,19 @@ def knn_search_batch(train, queries: np.ndarray, k_max: int) -> tuple[np.ndarray
         idx, d2 = _order_exactly(points, queries, np.broadcast_to(np.arange(n), (n_q, n)), k_max)
         return idx, np.sqrt(d2)
 
-    mean = points.mean(axis=0)
-    centred = points - mean
-    p_norm = np.einsum("ij,ij->i", centred, centred)
+    # [q, 1] @ [-2p, |p|^2]^T is |p|^2 - 2 q.p in one GEMM; the right operand
+    # is filled in place, as a transposed copy of it cost more than the search
+    mean = np.ones(n) @ points / n
+    rhs = np.empty((d + 1, n))
+    np.subtract(points.T, mean[:, None], out=rhs[:d])
+    rhs[d] = np.einsum("ij,ij->j", rhs[:d], rhs[:d])
+    rhs[:d] *= -2
     q_centred = queries - mean
     finfo = np.finfo(np.float64)
     slack = 8 * (d + 8) * finfo.eps * (
-        p_norm.max() + np.einsum("ij,ij->i", q_centred, q_centred) + finfo.tiny
+        rhs[d].max() + np.einsum("ij,ij->i", q_centred, q_centred) + finfo.tiny
     )
-    # [q, 1] @ [-2p, |p|^2]^T is |p|^2 - 2 q.p in one GEMM
     lhs = np.column_stack([q_centred, np.ones(n_q)])
-    rhs = np.column_stack([-2.0 * centred, p_norm]).T.copy()
 
     indices = np.empty((n_q, k_max), dtype=np.intp)
     dist = np.empty((n_q, k_max), dtype=np.float64)

@@ -457,10 +457,7 @@ def excess_risk_experiment(
             raise ValueError(f"unknown method {meth!r}; choose from {EXPERIMENT_METHODS}")
     if k_rule not in ("arithmetic", "ratio"):
         raise ValueError("k_rule must be 'arithmetic' or 'ratio'")
-    if C < 0:
-        raise ValueError("C must be non-negative")
-    if C > V - 1:
-        raise ValueError(f"C={C} needs at least C+1 scales, got V={V}")
+    MsknnConfig(V=V, C=C, lam=lam)
     if k_rule == "ratio" and ell is None:
         ell = tuple(1.0 + 0.25 * v for v in range(V))
     bayes = problem.bayes_risk
@@ -547,6 +544,11 @@ def load_experiment_config(path) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def profile_scales(k_star: int, V: int) -> list[int]:
+    """The distinct scales round(k* v / V), v = 1..V, of a weight profile."""
+    return sorted({max(1, round(k_star * v / V)) for v in range(1, V + 1)})
+
+
 def weight_profile_report(
     n: int, d: int, k_star: int, V: int, C: int
 ) -> list[tuple[str, int, float]]:
@@ -562,7 +564,7 @@ def weight_profile_report(
         raise ValueError("all profile parameters must be positive")
     if k_star > n:
         raise ValueError("k_star cannot exceed n")
-    ks = sorted({max(1, round(k_star * v / V)) for v in range(1, V + 1)})
+    ks = profile_scales(k_star, V)
     if len(ks) < C + 1:
         raise ValueError(
             f"k_star={k_star} rounds the V={V} scales to ks={ks}, fewer than C+1={C + 1}"

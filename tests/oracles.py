@@ -1,13 +1,21 @@
 """Direct reference implementations that tests compare the package against.
 
-Each is the textbook formula over one neighbour list or one box, with none
-of the package's batching: k-NN averages over a `NeighborList`, and the
-Bayes risk by composite quadrature.
+Each is the textbook formula over one query, one neighbour list or one box,
+with none of the package's batching or pruning: the neighbour ordering by a
+full sort, k-NN averages over a `NeighborList`, and the Bayes risk by
+composite quadrature.
 """
 
 import numpy as np
 
 from msknn.neighbors import NeighborList
+
+
+def sort_oracle(points, query, k_max):
+    """Reference ordering: full sort on (squared distance, index)."""
+    d2 = np.square(points - query).sum(axis=1)
+    order = np.lexsort((np.arange(len(points)), d2))[:k_max]
+    return order, np.sqrt(d2[order])
 
 
 def unweighted_knn(nl: NeighborList, labels01: np.ndarray, k: int) -> float:

@@ -12,8 +12,8 @@ from msknn.bench import BenchConfig, BenchReport, bundled_path, run_benchmark, s
 from msknn.cli import main
 from msknn.dataset import Dataset, SplitSpec, load_csv, normalize, split
 from msknn.multiscale import MsknnConfig, msknn_classify, select_ks
-from msknn.neighbors import knn_search
-from oracles import unweighted_knn
+from msknn.neighbors import NeighborList
+from oracles import sort_oracle, unweighted_knn
 
 
 def iris_cfg(**kw):
@@ -130,7 +130,7 @@ class TestBatchAgreesWithPerQuery:
         csums = _class_cumsums(train.labels[idx], data.m)
         est, _ = _estimates("uniform", csums, dists, ks, data.d, 1, 1e-4)
         for i in range(0, test.n, 7):
-            nl = knn_search(train_norm.points, test_pts[i], ks[-1])
+            nl = NeighborList(*sort_oracle(train_norm.points, test_pts[i], ks[-1]))
             for c in range(data.m):
                 direct = unweighted_knn(nl, (train.labels == c).astype(float), ks[-1])
                 assert est[i, c] == pytest.approx(direct, abs=1e-12)
@@ -252,6 +252,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--data", "iris"],
+        ["rates", "--n-grid", "64", "--reps", "2", "--n-test", "8"],
+    ])
+    def test_negative_lambda_exits_one(self, capsys, argv):
+        assert main([*argv, "--lambda", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "lambda must be non-negative" in captured.err
+        assert captured.out == ""
+
+    def test_weights_names_merged_scales(self, capsys):
+        argv = ["weights", "--n", "100", "--d", "2", "--k-star", "3", "--C", "1"]
+        assert main([*argv, "--V", "5"]) == 0
+        merged = capsys.readouterr()
+        assert merged.err == "# k_star=3 rounds the V=5 scales to ks=[1, 2, 3]; " \
+            "msknn_implicit uses these 3\n"
+        # the profile is the one V = 3 gives, and unmerged scales print nothing
+        assert main([*argv, "--V", "3"]) == 0
+        distinct = capsys.readouterr()
+        assert merged.out == distinct.out and distinct.err == ""
 
     def test_rates_config_rejects_baseline_k_factor(self, tmp_path, capsys):
         # no flag sets the baseline k, so neither may a config line

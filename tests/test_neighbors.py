@@ -11,13 +11,7 @@ from msknn.bench import METHODS, _class_cumsums, _estimates
 from msknn.dataset import Dataset, normalize
 from msknn.multiscale import select_ks
 from msknn.neighbors import knn_search, knn_search_batch
-
-
-def sort_oracle(points, query, k_max):
-    """Reference ordering: full sort on (squared distance, index)."""
-    d2 = np.square(points - query).sum(axis=1)
-    order = np.lexsort((np.arange(len(points)), d2))[:k_max]
-    return order, np.sqrt(d2[order])
+from oracles import sort_oracle
 
 
 def assert_matches_oracle(points, queries, k_max):
@@ -57,6 +51,12 @@ class TestKnnSearch:
         with pytest.raises(ValueError):
             knn_search(pts, np.zeros(3), 2)
 
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 2)])
+    def test_rejects_a_batch_of_queries(self, shape):
+        # the batch search would take these and knn_search would return row 0
+        with pytest.raises(ValueError, match="expected \\(2,\\)"):
+            knn_search(np.zeros((4, 2)), np.zeros(shape), 2)
+
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -93,9 +93,13 @@ class TestBatch:
             k = int(rng.integers(1, n + 1))
             idx, dist = knn_search_batch(pts, queries, k)
             for i, q in enumerate(queries):
+                # knn_search is row 0 of the batch search: both answer to the full sort
                 nl = knn_search(pts, q, k)
-                np.testing.assert_array_equal(idx[i], nl.indices)
-                np.testing.assert_array_equal(dist[i], nl.distances)
+                o_idx, o_dist = sort_oracle(pts, q, k)
+                np.testing.assert_array_equal(idx[i], o_idx)
+                np.testing.assert_array_equal(dist[i], o_dist)
+                np.testing.assert_array_equal(nl.indices, o_idx)
+                np.testing.assert_array_equal(nl.distances, o_dist)
 
     def test_query_dimension_checked(self):
         pts = np.zeros((4, 2))
