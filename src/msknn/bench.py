@@ -53,6 +53,8 @@ class BenchConfig:
     def __post_init__(self):
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
+        if not 0.0 < self.train_fraction <= 1.0:
+            raise ValueError("train_fraction must lie in (0, 1]")
         if not self.methods:
             raise ValueError("methods must be non-empty")
         for meth in self.methods:

@@ -2,8 +2,11 @@
 
 Squared distances are compared, ties are broken by ascending training index,
 and square roots are taken only for the distances that leave this module.
-Every such distance is computed as np.square(q - p).sum(-1), so the result
-agrees bit for bit with a full stable sort, near-ties included.
+Every such distance equals np.square(q - p).sum(-1) bit for bit, so the
+result agrees with a full stable sort, near-ties included. For d < 8 and
+all but the smallest batches it is summed column by column, left to right
+as numpy's add.reduce sums a short row, without the (rows, candidates, d)
+difference tensor (`_squared_distances`).
 
 There is one search, `knn_search_batch`, which returns (indices, distances)
 arrays. `knn_search` (one query) is its row 0, returned as a `NeighborList`
@@ -79,13 +82,15 @@ def knn_search_batch(train, queries: np.ndarray, k_max: int) -> tuple[np.ndarray
        candidates. Only rows with ties or near-ties at the k_max-th
        distance take a second argpartition, wide enough to keep them all;
        the block's other rows then keep as many from their first one.
-    3. Order exactly. The candidates' squared distances are recomputed with
-       this module's arithmetic, np.square(q - p).sum(-1), and argsorted
-       with the default, unstable sort. A row whose first k_max + 1 sorted
-       distances strictly increase keeps its first k_max as they are; in
-       any other row each run of equal distances is put in index order
-       over all its candidates (`_order_exactly`). Every distance that
-       leaves this function is therefore bit-identical to a full sort's.
+    3. Order exactly. The candidates' squared distances are recomputed
+       bit for bit as np.square(q - p).sum(-1) computes them (for d < 8
+       and large chunks, one coordinate column at a time, added in numpy's
+       order: `_squared_distances`), and argsorted with the default,
+       unstable sort. A row whose first k_max + 1 sorted distances strictly
+       increase keeps its first k_max as they are; in any other row each
+       run of equal distances is put in index order over all its
+       candidates (`_order_exactly`). Every distance that leaves this
+       function is therefore bit-identical to a full sort's.
 
     Why the candidates hold the answer. Let e be the squared distance of
     step 3 and a' = a + |q|^2. With unit roundoff u = eps / 2,
@@ -152,7 +157,7 @@ def _prune(lhs, rhs, k_max, slack):
     """
     approx = lhs @ rhs
     part = np.argpartition(approx, k_max, axis=1)
-    head = np.take_along_axis(approx, part[:, : k_max + 1], axis=1)
+    head = approx.take(_flat(part[:, : k_max + 1], approx.shape[1]))
     limit = head[:, :k_max].max(axis=1) + slack
     # "not a > limit" also holds for NaN: a non-finite bound keeps every point
     tied = ~(head[:, k_max] > limit)
@@ -166,37 +171,83 @@ def _prune(lhs, rhs, k_max, slack):
 def _order_exactly(points, queries, cand, k_max):
     """Step 3 of knn_search_batch: the first k_max candidates by (squared distance, index).
 
-    The exact squared distances are sorted with the default, unstable
-    argsort, which leaves equal keys in arbitrary order. If the first
-    k_max + 1 sorted keys of a row are strictly increasing, its first k_max
-    are already exact: each is the only point at its distance, and the
-    (k_max+1)-th lies strictly beyond. Any other row (an equal adjacent
-    pair there, or a non-finite key) is repaired: every run of equal keys
-    across the row's full candidate width is put in ascending index order,
-    because a run that reaches position k_max can extend past it. The
-    sorted distances do not depend on the order within a run.
+    The exact squared distances (`_squared_distances`) are sorted with the
+    default, unstable argsort, which leaves equal keys in arbitrary order.
+    If the first k_max + 1 sorted keys of a row are strictly increasing, its
+    first k_max are already exact: each is the only point at its distance,
+    and the (k_max+1)-th lies strictly beyond. Any other row (an equal
+    adjacent pair there, or a non-finite key) is repaired: every run of
+    equal keys across the row's full candidate width is put in ascending
+    index order, because a run that reaches position k_max can extend past
+    it. The sorted distances do not depend on the order within a run.
 
-    Rows go in chunks whose (rows, candidates, d) difference tensor holds
-    about 2e6 float64.
+    Rows go in chunks of about 2e6 / max(d, 2) candidates, so that each
+    chunk's (rows, candidates, d) difference tensor, or its two column
+    arrays, hold about 2e6 float64.
     """
     n_q, width = cand.shape
     head = min(k_max + 1, width)
     idx = np.empty((n_q, k_max), dtype=np.intp)
     d2 = np.empty((n_q, k_max), dtype=np.float64)
-    step = max(1, 2_000_000 // (width * points.shape[1]))
+    step = max(1, 2_000_000 // (width * max(points.shape[1], 2)))
     for start in range(0, n_q, step):
         rows = slice(start, start + step)
         c = cand[rows]
-        full = np.square(queries[rows, None, :] - points.take(c, axis=0)).sum(axis=2)
+        full = _squared_distances(points, queries[rows], c)
         order = np.argsort(full, axis=1)
-        keys = np.take_along_axis(full, order[:, :head], axis=1)
-        idx[rows] = np.take_along_axis(c, order[:, :k_max], axis=1)
+        flat = _flat(order[:, :head], width)
+        keys = full.take(flat)
+        idx[rows] = c.take(flat[:, :k_max])
         d2[rows] = keys[:, :k_max]
         # "not b > a" also holds for NaN, so a non-finite row is repaired too
         tied = np.flatnonzero(~(keys[:, 1:] > keys[:, :-1]).all(axis=1))
         if len(tied):
             idx[start + tied] = _index_order_ties(full[tied], c[tied], order[tied], k_max)
     return idx, d2
+
+
+# A chunk with fewer candidates (rows x width) than this computes its
+# distances through the difference tensor. The column loop makes about 4 d
+# ufunc calls, which cost more than they save below roughly 500 candidates
+# at d = 2; one-query searches stay on the tensor.
+_COLUMNS_FROM = 4096
+
+
+def _squared_distances(points, queries, cand):
+    """(rows, width) squared distances from queries[i] to points[cand[i]].
+
+    Bit for bit np.square(queries[:, None] - points[cand]).sum(-1). For
+    d < 8 and a chunk of at least _COLUMNS_FROM candidates, each coordinate
+    column is gathered, subtracted from the query column and squared in
+    place, and the columns are added left to right. That is the order
+    numpy's add.reduce adds a contiguous row shorter than 8: it starts from
+    0 (or -0.0), and 0 + s = s for every sum s of squares, so each addition
+    has the same operands as numpy's and the sums are equal, inf and NaN
+    included. From 8 values on, numpy sums a row in eight interleaved
+    partial sums, so d >= 8 keeps the tensor expression. The property tests
+    check this against the expression itself.
+    """
+    d = points.shape[1]
+    if d >= 8 or cand.size < _COLUMNS_FROM:
+        return np.square(queries[:, None, :] - points.take(cand, axis=0)).sum(axis=2)
+    acc, tmp = np.empty((2, *cand.shape))
+
+    def column(j, out):
+        # the indices are in range, so "wrap" gathers exactly what "raise"
+        # would, without the copy numpy makes for out= under "raise"
+        points[:, j].take(cand, out=out, mode="wrap")
+        np.subtract(queries[:, j, None], out, out=out)
+        return np.square(out, out=out)
+
+    column(0, acc)
+    for j in range(1, d):
+        acc += column(j, tmp)
+    return acc
+
+
+def _flat(cols, width):
+    """Flat positions, in a C-ordered (rows, width) array, of row i's entries cols[i]."""
+    return cols + np.arange(0, len(cols) * width, width)[:, None]
 
 
 def _index_order_ties(full, cand, order, k_max):
@@ -208,12 +259,12 @@ def _index_order_ties(full, cand, order, k_max):
     (np.lexsort is two stable sorts: about twice as slow on banknote's
     tie-heavy rows.)
     """
-    keys = np.take_along_axis(full, order, axis=1)
-    ids = np.take_along_axis(cand, order, axis=1)
+    flat = _flat(order, full.shape[1])
+    keys = full.take(flat)
+    ids = cand.take(flat)
     starts = np.ones(keys.shape, dtype=bool)
     nan = np.isnan(keys)
     starts[:, 1:] = ~((keys[:, 1:] == keys[:, :-1]) | nan[:, 1:] & nan[:, :-1])
     run_start = np.maximum.accumulate(np.where(starts, np.arange(keys.shape[1]), 0), axis=1)
     rank = np.argsort(run_start * (ids.max() + 1) + ids, axis=1)[:, :k_max]
-    return np.take_along_axis(ids, rank, axis=1)
-
+    return ids.take(_flat(rank, ids.shape[1]))

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .bench import _estimates
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 from .multiscale import MsknnConfig, fit_extrapolate, select_ks
 from .neighbors import knn_search_batch
 from .weights import SamworthParams, choose_a0, samworth_nonneg_weights, samworth_real_weights
@@ -457,6 +457,9 @@ def excess_risk_experiment(
             raise ValueError(f"unknown method {meth!r}; choose from {EXPERIMENT_METHODS}")
     if k_rule not in ("arithmetic", "ratio"):
         raise ValueError("k_rule must be 'arithmetic' or 'ratio'")
+    for name, count in (("reps", reps), ("n_test", n_test)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1")
     MsknnConfig(V=V, C=C, lam=lam)
     if k_rule == "ratio" and ell is None:
         ell = tuple(1.0 + 0.25 * v for v in range(V))
@@ -524,18 +527,27 @@ def save_experiment_config(path, **params) -> None:
 
 
 def load_experiment_config(path) -> dict:
-    """Read key=value experiment parameters written by save_experiment_config."""
+    """Read key=value experiment parameters written by save_experiment_config.
+
+    A file that cannot be read raises DataError naming the path.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(
+            f"cannot read experiment config {path}: {getattr(exc, 'strerror', None) or exc}"
+        ) from exc
     out: dict = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or key not in _CONFIG_TYPES:
-                raise ValueError(f"unknown experiment parameter line {line!r}")
-            out[key] = _CONFIG_TYPES[key](value.strip())
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or key not in _CONFIG_TYPES:
+            raise ValueError(f"unknown experiment parameter line {line!r}")
+        out[key] = _CONFIG_TYPES[key](value.strip())
     return out
 
 

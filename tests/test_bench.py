@@ -283,6 +283,41 @@ class TestCli:
         assert "baseline_k_factor" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_rates_unreadable_config_exits_two(self, tmp_path, capsys, where):
+        path = tmp_path / "absent.cfg" if where == "missing" else tmp_path
+        assert main(["rates", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"data error: cannot read experiment config {path}: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag, name", [("--reps", "reps"), ("--n-test", "n_test")])
+    def test_rates_rejects_zero_counts(self, capsys, flag, name):
+        argv = ["rates", "--n-grid", "256,512", "--reps", "2", "--n-test", "16", flag, "0"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"{name} must be at least 1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("frac", ["1.5", "0"])
+    def test_bench_fraction_outside_unit_interval_exits_one(self, capsys, frac):
+        assert main(["bench", "--data", "iris", "--frac", frac]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: train_fraction must lie in (0, 1]\n"
+        assert captured.out == ""
+
+    def test_theory_names_each_failed_problem(self, capsys):
+        # balls of radius 2-3 leave the problems' support, so both fits fail
+        assert main(["theory", "--r-min", "2", "--r-max", "3"]) == 3
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()
+        assert rows[0] == "problem,d,b0_fitted,eta_at_center,b1_fitted,b1_analytic,rel_err"
+        errors = captured.err.splitlines()
+        assert len(errors) == 2
+        for row, error in zip(rows[1:], errors):
+            name, rel_err = row.split(",")[0], row.split(",")[-1]
+            assert error.startswith(f"numerical failure: {name}: rel_err {rel_err} exceeds 0.05")
+
     def test_verbose_fit_diagnostics(self, capsys):
         report = run_benchmark(iris_cfg(repeats=1, methods=("msknn-r",)), verbose=True)
         assert report.rows

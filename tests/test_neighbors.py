@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from msknn.bench import METHODS, _class_cumsums, _estimates
 from msknn.dataset import Dataset, normalize
 from msknn.multiscale import select_ks
-from msknn.neighbors import knn_search, knn_search_batch
+from msknn import neighbors
+from msknn.neighbors import _COLUMNS_FROM, _squared_distances, knn_search, knn_search_batch
 from oracles import sort_oracle
 
 
@@ -282,3 +283,67 @@ class TestTieRunOrdering:
         else:
             points, queries = rng.normal(size=(n, d)), rng.normal(size=(4, d))
         assert_matches_oracle(points, queries, n)
+
+
+@st.composite
+def distance_chunks(draw):
+    """(points, queries, cand) with d on both sides of 8 and rows x width on
+    either side of the column cutoff; a coordinate scaled by 1e160 squares
+    to inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 40))
+    rows = draw(st.integers(1, 12))
+    least = -(-_COLUMNS_FROM // rows)  # the fewest columns that reach the cutoff
+    if draw(st.booleans()):
+        width = draw(st.integers(least, least + 40))
+    else:
+        width = draw(st.integers(1, least - 1))
+    scales = np.array([1e-3, 1.0, 1e3, 1e160])
+    points = rng.normal(size=(n, d)) * rng.choice(scales, size=(n, d), p=[0.3, 0.3, 0.3, 0.1])
+    queries = rng.normal(size=(rows, d)) * rng.choice(scales[:3], size=(rows, d))
+    return points, queries, rng.integers(0, n, size=(rows, width))
+
+
+class TestColumnSums:
+    """The column-by-column distances against numpy's own reduction."""
+
+    @settings(max_examples=150)
+    @given(distance_chunks())
+    def test_bit_identical_to_the_difference_tensor(self, case):
+        points, queries, cand = case
+        with np.errstate(over="ignore"):
+            expected = np.square(queries[:, None] - points[cand]).sum(-1)
+            got = _squared_distances(points, queries, cand)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", [8, 9, 16, 130])
+    @pytest.mark.parametrize("grid", [True, False])
+    def test_search_matches_oracle_from_eight_dimensions(self, d, grid):
+        # 48 queries x k_max 120 candidates: a chunk past the cutoff that
+        # keeps the difference tensor because d >= 8
+        rng = np.random.default_rng(d)
+        if grid:
+            points = rng.integers(-2, 3, size=(400, d)).astype(np.float64)
+            queries = rng.integers(-2, 3, size=(48, d)).astype(np.float64)
+        else:
+            points, queries = rng.normal(size=(400, d)), rng.normal(size=(48, d))
+        assert 48 * 120 >= _COLUMNS_FROM
+        assert_matches_oracle(points, queries, 120)
+
+    def test_high_dimensional_chunks_keep_the_tensor_bound(self, monkeypatch):
+        # d = 10^4 and few queries: each chunk's difference tensor must stay
+        # near 2e6 float64, one query per chunk here
+        seen = []
+
+        def spy(points, queries, cand):
+            seen.append(cand.size * points.shape[1])
+            return squared_distances(points, queries, cand)
+
+        squared_distances = neighbors._squared_distances
+        monkeypatch.setattr(neighbors, "_squared_distances", spy)
+        rng = np.random.default_rng(0)
+        points, queries = rng.normal(size=(200, 10_000)), rng.normal(size=(4, 10_000))
+        assert_matches_oracle(points, queries, 150)
+        assert len(seen) == 4 and max(seen) <= 2_000_000
