@@ -113,8 +113,11 @@ def _build_parser() -> _Parser:
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _resolve_data(arg: str) -> tuple[str, str]:

@@ -9,9 +9,10 @@ check, at desk scale, two things the estimator's design rests on:
 * extrapolating that expansion away beats fixed-scale neighbour averaging,
   visible as lower excess risk on smooth problems.
 
-Ball averages are computed by Gauss-Legendre tensor quadrature in polar /
-spherical form for d <= 3 and scrambled Sobol sampling above. The
-excess-risk experiments score every method with the benchmark's batched
+Ball averages come from one tensor Gauss-Legendre rule in hyperspherical
+coordinates for every d; inside the support its error at the default budget is
+below 1e-9 up to d = 5 and of order 1e-3 or more from d = 8 (`eta_infinity`).
+The excess-risk experiments score every method with the benchmark's batched
 scorer (`bench._estimates`) and threshold at 1/2; only the ratio scale rule,
 which picks scales per query, lives here.
 """
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .bench import _estimates
 from .errors import DataError, NumericalError
@@ -204,58 +204,43 @@ def smooth_problem_2d() -> SyntheticProblem:
 # ---------------------------------------------------------------------------
 
 
-def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+# (fewest, most) nodes per axis for d <= 3; above, at most 2**17 nodes in all,
+# as the grid holds n**d points and an uncapped budget ran for minutes
+_AXIS_NODES = {1: (8, 400), 2: (8, 96), 3: (6, 48)}
 
 
 def _ball_nodes(x_star: np.ndarray, r: float, d: int, budget: int):
     """Quadrature nodes and weights for integrals over B(x_star; r).
 
-    Polar/spherical tensor Gauss-Legendre for d <= 3 (weights include the
-    Jacobian); scrambled Sobol points in the bounding cube above, with the
-    in-ball indicator folded into the weights.
+    One tensor Gauss-Legendre rule in hyperspherical coordinates for every
+    d: the radius in [0, r] with weight rho^(d-1), the azimuth in [0, 2 pi)
+    and d - 2 polar angles phi_j in [0, pi] with weight sin(phi_j)^j, or the
+    directions +1 and -1 at d = 1. Each axis gets floor(budget^(1/d)) nodes
+    within the bounds above; the weights carry the Jacobian. Inside the
+    support its error falls 40- to 100-fold per node per axis, whatever d.
     """
+    total = max(budget if d in _AXIS_NODES else min(budget, 2**17), 1)
+    n = round(total ** (1.0 / d))
+    n -= n**d > total  # the exact floor of the d-th root
+    lo, hi = _AXIS_NODES.get(d, (1, n))
+    q, w = np.polynomial.legendre.leggauss(min(max(n, lo), hi))
+    rho = 0.5 * r * (q + 1.0)
     if d == 1:
-        n = min(max(budget, 8), 400)
-        q, w = _gl(n)
-        pts = x_star + r * q[:, None]
-        return pts, (r * w)
-    if d == 2:
-        n = min(max(int(math.sqrt(budget)), 8), 96)
-        qr, wr = _gl(n)
-        qt, wt = _gl(n)
-        rho = 0.5 * r * (qr + 1.0)
-        theta = math.pi * (qt + 1.0)
-        wrho = 0.5 * r * wr * rho
-        wtheta = math.pi * wt
-        P, T = np.meshgrid(rho, theta, indexing="ij")
-        pts = x_star + np.stack([P * np.cos(T), P * np.sin(T)], axis=-1).reshape(-1, 2)
-        return pts, np.outer(wrho, wtheta).ravel()
-    if d == 3:
-        n = min(max(int(budget ** (1.0 / 3.0)), 6), 48)
-        qr, wr = _gl(n)
-        qt, wt = _gl(n)
-        qp, wp = _gl(n)
-        rho = 0.5 * r * (qr + 1.0)
-        theta = math.pi * (qt + 1.0)
-        phi = 0.5 * math.pi * (qp + 1.0)
-        wrho = 0.5 * r * wr * rho**2
-        wtheta = math.pi * wt
-        wphi = 0.5 * math.pi * wp * np.sin(phi)
-        P, T, F = np.meshgrid(rho, theta, phi, indexing="ij")
-        pts = x_star + np.stack(
-            [P * np.sin(F) * np.cos(T), P * np.sin(F) * np.sin(T), P * np.cos(F)], axis=-1
-        ).reshape(-1, 3)
-        wts = (wrho[:, None, None] * wtheta[None, :, None] * wphi[None, None, :]).ravel()
-        return pts, wts
-    # d > 3: scrambled Sobol in the bounding cube, indicator in the weight
-    m = int(math.ceil(math.log2(max(budget, 64))))
-    sob = qmc.Sobol(d, scramble=True, seed=1234)
-    u = sob.random_base2(min(m, 17))
-    pts = x_star - r + 2.0 * r * u
-    inside = np.square(pts - x_star).sum(axis=1) <= r * r
-    wts = np.where(inside, (2.0 * r) ** d / len(pts), 0.0)
-    return pts, wts
+        P, U = np.meshgrid(rho, [1.0, -1.0], indexing="ij")
+        return x_star + (P * U).reshape(-1, 1), np.repeat(0.5 * r * w, 2)
+    phi = 0.5 * math.pi * (q + 1.0)
+    P, T, *F = np.meshgrid(rho, math.pi * (q + 1.0), *[phi] * (d - 2), indexing="ij", sparse=True)
+    weights = np.meshgrid(
+        0.5 * r * w * rho ** (d - 1), math.pi * w,
+        *[0.5 * math.pi * w * np.sin(phi) ** j for j in range(1, d - 1)],
+        indexing="ij", sparse=True,
+    )
+    tail = []
+    for f in reversed(F):  # x_(j+2) = s cos(phi_j), then s <- s sin(phi_j)
+        tail.insert(0, P * np.cos(f))
+        P = P * np.sin(f)
+    pts = np.stack(np.broadcast_arrays(P * np.cos(T), P * np.sin(T), *tail), axis=-1)
+    return x_star + pts.reshape(-1, d), math.prod(weights).ravel()
 
 
 def eta_infinity(
@@ -263,9 +248,12 @@ def eta_infinity(
 ) -> float:
     """Average of eta over the ball B(x_star; r) under the problem's density.
 
-    The stated accuracy (absolute error <= 1e-6 for d <= 3) holds for balls
-    inside the support, where the integrands are smooth; balls clipped by the
-    support boundary are handled through an indicator and converge slower.
+    Inside the support the error is set by the nodes per axis n (see
+    `_ball_nodes`), not by d: for an eta of degree 4, centred on the ball or
+    not, it is about 1e-3 at n = 3, 3e-5 at 4, 1e-6 at 5, 2e-8 at 6 and
+    3e-10 at 7. The default budget gives n >= 7 up to d = 5, 5 at d = 6, 4
+    at d = 7, 3 at d = 8 and 9, 2 up to d = 14 and 1 above. A ball clipped
+    by the support converges slower.
     """
     if r <= 0:
         raise ValueError("r must be positive")
@@ -350,10 +338,11 @@ class RateTable:
 
 
 def _loglog_slope(n_grid, means) -> tuple[float, float]:
+    """Slope of log(mean) on log(n) and its standard error, nan where undefined."""
     means = np.asarray(means)
-    if np.any(means <= 0):
-        return float("nan"), float("nan")
     x = np.log(np.asarray(n_grid, dtype=np.float64))
+    if np.any(means <= 0) or len(np.unique(x)) < 2:
+        return float("nan"), float("nan")
     y = np.log(means)
     A = np.vstack([np.ones_like(x), x]).T
     coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -500,7 +489,9 @@ def excess_risk_experiment(
                 per_rep[i, j, rep] = cond_risk - bayes
 
     mean_excess = per_rep.mean(axis=2)
-    stderr = per_rep.std(axis=2, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros_like(mean_excess)
+    stderr = np.full_like(mean_excess, np.nan)  # undefined at one rep
+    if reps > 1:
+        stderr = per_rep.std(axis=2, ddof=1) / math.sqrt(reps)
     table = RateTable(
         n_grid=n_grid, methods=methods, mean_excess=mean_excess, stderr=stderr, per_rep=per_rep,
         rank_deficient=rank_deficient, n_queries=len(n_grid) * reps * n_test,
@@ -517,13 +508,15 @@ _CONFIG_TYPES = {
 
 
 def save_experiment_config(path, **params) -> None:
-    """Write experiment parameters as key=value lines."""
-    with open(path, "w", encoding="utf-8") as f:
-        for key, value in params.items():
-            if key not in _CONFIG_TYPES:
-                raise ValueError(f"unknown experiment parameter {key!r}")
-            if value is not None:
-                f.write(f"{key}={value}\n")
+    """Write experiment parameters as key=value lines; DataError names an unwritable path."""
+    for key in params:
+        if key not in _CONFIG_TYPES:
+            raise ValueError(f"unknown experiment parameter {key!r}")
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(f"{key}={value}\n" for key, value in params.items() if value is not None)
+    except OSError as exc:
+        raise DataError(f"cannot write experiment config {path}: {exc.strerror or exc}") from exc
 
 
 def load_experiment_config(path) -> dict:

@@ -230,10 +230,8 @@ def test_c10_oracle_agreement():
         ):
             mismatches += 1
 
-    from scipy.spatial.distance import cdist
-
     def direct_classify(points, labels, m, query, ks, C, lam):
-        d2 = cdist(query[None, :], points, "sqeuclidean")[0]
+        d2 = np.square(points - query).sum(axis=1)
         order = np.lexsort((np.arange(len(points)), d2))
         karr = np.asarray(ks)
         p = d2[order][karr - 1]

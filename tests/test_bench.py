@@ -291,6 +291,36 @@ class TestCli:
         assert captured.err.startswith(f"data error: cannot read experiment config {path}: ")
         assert captured.out == ""
 
+    def test_weights_unwritable_out_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "absent" / "x.csv"
+        assert main(["weights", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"data error: cannot write {path}: ")
+        assert captured.out == ""
+
+    def test_rates_unwritable_save_config_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "absent" / "x.cfg"
+        argv = ["rates", "--n-grid", "64", "--reps", "2", "--n-test", "8",
+                "--save-config", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"data error: cannot write experiment config {path}: ")
+        assert captured.out == ""
+
+    def test_rates_one_rep_prints_nan_stderr(self, capsys):
+        assert main(["rates", "--n-grid", "256,512", "--reps", "1", "--n-test", "16"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 4
+        assert [row[3] for row in rows] == ["nan"] * 4
+        assert all(row[4] != "nan" for row in rows)
+
+    @pytest.mark.parametrize("n_grid", ["256", "256,256"])
+    def test_rates_one_size_prints_nan_slope(self, capsys, n_grid):
+        assert main(["rates", "--n-grid", n_grid, "--reps", "2", "--n-test", "16"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows
+        assert all(row[4:] == ["nan", "nan"] and row[3] != "nan" for row in rows)
+
     @pytest.mark.parametrize("flag, name", [("--reps", "reps"), ("--n-test", "n_test")])
     def test_rates_rejects_zero_counts(self, capsys, flag, name):
         argv = ["rates", "--n-grid", "256,512", "--reps", "2", "--n-test", "16", flag, "0"]

@@ -1,5 +1,6 @@
 """Ball averages, bias-expansion fits, and excess-risk experiments."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,7 @@ from msknn.theory import (
     RadialPolynomialEta,
     SyntheticProblem,
     UniformBox,
+    _ball_nodes,
     analytic_b1,
     eta_infinity,
     excess_risk_experiment,
@@ -71,7 +73,7 @@ class TestEtaInfinity:
         with pytest.raises(NumericalError):
             eta_infinity(problem, [10.0, 10.0], 0.1)
 
-    def test_qmc_path_above_3d(self):
+    def test_centred_ball_above_3d(self):
         d = 5
         problem = SyntheticProblem(
             UniformBox((-1.0,) * d, (1.0,) * d),
@@ -84,6 +86,46 @@ class TestEtaInfinity:
         expected = 0.5 + 0.2 * r * r * d / (d + 2)
         got = eta_infinity(problem, [0.0] * d, r, budget=2**15)
         assert got == pytest.approx(expected, abs=2e-4)
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_off_centre_ball_above_3d(self, d):
+        problem = SyntheticProblem(
+            UniformBox((-1.0,) * d, (1.0,) * d),
+            RadialPolynomialEta((0.0,) * d, 0.5, (0.2, 0.1)),
+            1.0,
+            2.0,
+        )
+        # x = c + y with y uniform on the r-ball: E|y|^2 = r^2 d/(d+2),
+        # E|y|^4 = r^4 d/(d+4), E(c.y)^2 = |c|^2 E|y|^2 / d, odd moments vanish
+        c, r = np.full(d, 0.2), 0.3
+        c2, m2, m4 = float(c @ c), r * r * d / (d + 2), r**4 * d / (d + 4)
+        t1 = c2 + m2
+        t2 = c2 * c2 + 2.0 * c2 * m2 + m4 + 4.0 * c2 * m2 / d
+        got = eta_infinity(problem, c, r, budget=2**17)
+        assert got == pytest.approx(0.5 + 0.2 * t1 + 0.1 * t2, abs=1e-7)
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_nodes_lie_in_the_ball(self, d):
+        r = 0.3
+        pts, wts = _ball_nodes(np.full(d, 0.1), r, d, 20_000)
+        assert len(pts) == len(wts)
+        assert np.sqrt(np.square(pts - 0.1).sum(axis=1)).max() <= r * (1 + 1e-12)
+        if d <= 4:  # enough nodes per axis that the weights sum to the volume to rounding
+            volume = math.pi ** (d / 2) * r**d / math.gamma(d / 2 + 1)
+            assert wts.sum() == pytest.approx(volume, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "d, budget, per_axis",
+        [(1, 10**9, 400), (2, 10**9, 96), (3, 10**9, 48), (3, 1000, 10), (3, 8, 6),
+         (4, 6**4, 6), (4, 10**9, 19), (5, 10**9, 10), (6, 20_000, 5), (17, 10**9, 2),
+         (18, 10**9, 1)],
+    )
+    def test_nodes_per_axis(self, d, budget, per_axis):
+        # floor(budget^(1/d)) per axis, within (8, 400), (8, 96) and (6, 48)
+        # for d = 1, 2, 3 and at most 2**17 nodes in all above
+        pts, _ = _ball_nodes(np.zeros(d), 0.5, d, budget)
+        directions = 2 if d == 1 else per_axis ** (d - 1)
+        assert pts.shape == (per_axis * directions, d)
 
 
 class TestBiasExpansion:
