@@ -142,8 +142,10 @@ def _estimates(
                 a0 = choose_a0(k_base, d) if k_base >= 2 else 1.0
                 w = samworth_real_weights(SamworthParams(k_base, d, a0))
             rows = kq[:, -1] == k_base
-            # estimate = w . onehot = sum_i w_i * diff(csum)_i; a matmul, whose
-            # sums match w @ labels bit for bit (einsum's need not)
+            # estimate = w . onehot = sum_i w_i * diff(csum)_i, as a matmul.
+            # For one query its sums match w @ labels bit for bit; over a
+            # stack of rows BLAS picks a summation order by the stack's
+            # shape, so a batched row can differ from it in the last bits
             incr = csums[:, rows, :k_base]
             incr[..., 1:] -= csums[:, rows, : k_base - 1]
             est[rows] = (incr @ w).T

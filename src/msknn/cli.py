@@ -168,6 +168,8 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_theory(args) -> int:
+    if args.C < 1:
+        raise ValueError(f"--C must be at least 1 to fit the b_1 it checks, got {args.C}")
     names = args.problem or ["quadratic-1d", "quadratic-2d"]
     r_grid = np.linspace(args.r_min, args.r_max, args.grid)
     lines = ["problem,d,b0_fitted,eta_at_center,b1_fitted,b1_analytic,rel_err"]
@@ -191,10 +193,21 @@ def _cmd_theory(args) -> int:
     return 3 if failed else 0
 
 
+def _sizes(text) -> list[int]:
+    try:
+        sizes = [int(v) for v in str(text).split(",")]
+    except ValueError:
+        raise ValueError(f"--n-grid must be a comma list of integers, got {text!r}") from None
+    if min(sizes) < 1:
+        raise ValueError(f"--n-grid sizes must be at least 1, got {min(sizes)}")
+    return sizes
+
+
 def _cmd_rates(args) -> int:
     given = {key: value for key, value in vars(args).items() if key in RATES_DEFAULTS}
     loaded = load_experiment_config(args.config) if args.config else {}
     params = {**RATES_DEFAULTS, **loaded, **given}
+    n_grid = _sizes(params["n_grid"])
     if args.save_config:
         save_experiment_config(args.save_config, **params)
     ell = None
@@ -203,7 +216,7 @@ def _cmd_rates(args) -> int:
     table = excess_risk_experiment(
         PROBLEMS[params["problem"]](),
         [m.strip() for m in params["methods"].split(",") if m.strip()],
-        [int(v) for v in str(params["n_grid"]).split(",")],
+        n_grid,
         reps=params["reps"],
         n_test=params["n_test"],
         seed=params["seed"],

@@ -16,8 +16,10 @@ import numpy as np
 from .errors import DataError
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _frozen(a, dtype) -> np.ndarray:
+    # a copy the caller holds no reference to, so that no later write to the
+    # caller's array (or its base) reaches the instance or its search operand
+    a = np.array(a, dtype=dtype, order="C")
     a.flags.writeable = False
     return a
 
@@ -36,8 +38,8 @@ class Dataset:
     label_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _frozen(np.asarray(self.points, dtype=np.float64)))
-        object.__setattr__(self, "labels", _frozen(np.asarray(self.labels, dtype=np.int64)))
+        object.__setattr__(self, "points", _frozen(self.points, np.float64))
+        object.__setattr__(self, "labels", _frozen(self.labels, np.int64))
         if self.points.ndim != 2:
             raise DataError("points must be a 2-D array")
         if len(self.points) != len(self.labels):
@@ -79,8 +81,8 @@ class NormStats:
     method: str = "zscore"
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", _frozen(np.asarray(self.mean, dtype=np.float64)))
-        object.__setattr__(self, "scale", _frozen(np.asarray(self.scale, dtype=np.float64)))
+        object.__setattr__(self, "mean", _frozen(self.mean, np.float64))
+        object.__setattr__(self, "scale", _frozen(self.scale, np.float64))
         if self.mean.shape != self.scale.shape:
             raise DataError("mean and scale must have identical shape")
         if np.any(self.scale < 0):

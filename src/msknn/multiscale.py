@@ -27,6 +27,7 @@ same solve returns z, so the weights cost no second solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,8 @@ class MsknnConfig:
             raise ValueError("C must be non-negative")
         if self.C > self.V - 1:
             raise ValueError(f"C={self.C} needs at least C+1 scales, got V={self.V}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lambda must be finite, got {self.lam}")
         if self.lam < 0:
             raise ValueError("lambda must be non-negative")
         if self.predictor not in PREDICTORS:
@@ -226,6 +229,8 @@ def fit_extrapolate(
     phi = np.asarray(phi, dtype=np.float64)
     if design.ndim != 2 or phi.ndim != 1 or len(design) != len(phi):
         raise ValueError("design must be V x (C+1) with one phi per row")
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     if lam < 0:
         raise ValueError("lambda must be non-negative")
 
@@ -281,13 +286,13 @@ def _resolve(train, cfg: MsknnConfig):
             raise ValueError(f"explicit scale {ks[-1]} exceeds n={n}")
     else:
         ks = select_ks(n, d, cfg.V)
-    return points, ks
+    return ks
 
 
 def msknn_fit(train, query, labels01: np.ndarray, cfg: MsknnConfig) -> MsknnFit:
     """Full per-query pipeline: search, design, fit, implicit weights."""
-    points, ks = _resolve(train, cfg)
-    nl = knn_search(points, query, ks[-1])
+    ks = _resolve(train, cfg)
+    nl = knn_search(train, query, ks[-1])
     design, phi = build_design(nl, labels01, ks, cfg)
     return fit_extrapolate(design, phi, cfg.lam, ks=ks)
 
@@ -309,8 +314,8 @@ def msknn_classify(train: Dataset, query, cfg: MsknnConfig, m: int | None = None
     if not isinstance(train, Dataset):
         raise TypeError("msknn_classify needs a Dataset (labels required)")
     m = train.m if m is None else m
-    points, ks = _resolve(train, cfg)
-    nl = knn_search(points, query, ks[-1])
+    ks = _resolve(train, cfg)
+    nl = knn_search(train, query, ks[-1])
     if m == 2:
         design, phi = build_design(nl, train.labels == 1, ks, cfg)
         fit = fit_extrapolate(design, phi, cfg.lam)

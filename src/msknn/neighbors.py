@@ -11,13 +11,16 @@ difference tensor (`_squared_distances`).
 There is one search, `knn_search_batch`, which returns (indices, distances)
 arrays. `knn_search` (one query) is its row 0, returned as a `NeighborList`
 whose distances[k - 1] is the k-th neighbour's radius. The search prunes
-with GEMM-style approximate distances |p|^2 - 2 q.p, keeps every point
-within a proven floating-point bound of the k_max-th, and orders only those
-candidates with the exact arithmetic; its docstring gives the bound. It
-builds no (queries, n, d) tensor and sorts no full row of n distances. The
-candidates are sorted by distance with an unstable sort; only rows with
-equal (or non-finite) distances among their first k_max + 1 then put each
-run of equal distances back in index order.
+with GEMM-style approximate distances |p|^2 - 2 q.p against a (d + 1, n)
+operand of the centred training points (`_operand`). A `Dataset` builds
+that operand on its first search and keeps it; an array builds it on every
+call. The search keeps every point within a proven floating-point bound of
+the k_max-th, and orders only those candidates with the exact arithmetic;
+its docstring gives the bound. It builds no (queries, n, d) tensor and
+sorts no full row of n distances. The candidates are sorted by distance
+with an unstable sort; only rows with equal (or non-finite) distances among
+their first k_max + 1 then put each run of equal distances back in index
+order.
 """
 
 from __future__ import annotations
@@ -52,11 +55,11 @@ def knn_search(train, query, k_max: int) -> NeighborList:
     Ties in distance are resolved toward the smaller training index, so the
     result matches a full stable sort on every input.
     """
-    points = _points_of(train)
+    d = _points_of(train).shape[1]
     query = np.asarray(query, dtype=np.float64)
-    if query.shape != (points.shape[1],):
-        raise ValueError(f"query has shape {query.shape}, expected ({points.shape[1]},)")
-    indices, distances = knn_search_batch(points, query[None], k_max)
+    if query.shape != (d,):
+        raise ValueError(f"query has shape {query.shape}, expected ({d},)")
+    indices, distances = knn_search_batch(train, query[None], k_max)
     return NeighborList(indices=indices[0], distances=distances[0])
 
 
@@ -74,6 +77,9 @@ def knn_search_batch(train, queries: np.ndarray, k_max: int) -> tuple[np.ndarray
        distance less the row constant |q|^2, on points and queries centred
        on the training mean, computed as ones @ points / n. Centring keeps
        the bound below tight on uncentred data; any centre keeps it valid.
+       The mean and the operand [-2 p, |p|^2] of the centred points
+       (`_operand`) are built once per Dataset, on its first search, and
+       on every call for an array.
        An argpartition finds each row's k_max-th smallest a, called A.
     2. Keep the candidates: every point with a <= A + slack, where
        slack = 8 (d + 8) eps (max |p|^2 + |q|^2 + tiny), norms taken after
@@ -123,17 +129,11 @@ def knn_search_batch(train, queries: np.ndarray, k_max: int) -> tuple[np.ndarray
         idx, d2 = _order_exactly(points, queries, np.broadcast_to(np.arange(n), (n_q, n)), k_max)
         return idx, np.sqrt(d2)
 
-    # [q, 1] @ [-2p, |p|^2]^T is |p|^2 - 2 q.p in one GEMM; the right operand
-    # is filled in place, as a transposed copy of it cost more than the search
-    mean = np.ones(n) @ points / n
-    rhs = np.empty((d + 1, n))
-    np.subtract(points.T, mean[:, None], out=rhs[:d])
-    rhs[d] = np.einsum("ij,ij->j", rhs[:d], rhs[:d])
-    rhs[:d] *= -2
+    mean, rhs, p_norm_max = _operand(train)
     q_centred = queries - mean
     finfo = np.finfo(np.float64)
     slack = 8 * (d + 8) * finfo.eps * (
-        rhs[d].max() + np.einsum("ij,ij->i", q_centred, q_centred) + finfo.tiny
+        p_norm_max + np.einsum("ij,ij->i", q_centred, q_centred) + finfo.tiny
     )
     lhs = np.column_stack([q_centred, np.ones(n_q)])
 
@@ -145,6 +145,34 @@ def knn_search_batch(train, queries: np.ndarray, k_max: int) -> tuple[np.ndarray
         cand = _prune(lhs[rows], rhs, k_max, slack[rows])
         indices[rows], dist[rows] = _order_exactly(points, queries[rows], cand, k_max)
     return indices, np.sqrt(dist)
+
+
+def _operand(train):
+    """(mean, rhs, max |p|^2) of step 1 of knn_search_batch.
+
+    mean is the training mean, rhs the (d + 1, n) operand [-2 (p - mean),
+    |p - mean|^2] and the last the largest centred squared norm. A Dataset
+    gets them built on its first search and kept, read-only, on the
+    instance, whose points are a read-only copy that cannot change; an
+    array gets them built on every call.
+    """
+    cached = train.__dict__.get("_operand") if isinstance(train, Dataset) else None
+    if cached is not None:
+        return cached
+    points = _points_of(train)
+    n, d = points.shape
+    # [q, 1] @ [-2p, |p|^2]^T is |p|^2 - 2 q.p in one GEMM; the right operand
+    # is filled in place, as a transposed copy of it cost more than the search
+    mean = np.ones(n) @ points / n
+    rhs = np.empty((d + 1, n))
+    np.subtract(points.T, mean[:, None], out=rhs[:d])
+    rhs[d] = np.einsum("ij,ij->j", rhs[:d], rhs[:d])
+    rhs[:d] *= -2
+    operand = mean, rhs, rhs[d].max()
+    if isinstance(train, Dataset):
+        mean.flags.writeable = rhs.flags.writeable = False
+        object.__setattr__(train, "_operand", operand)
+    return operand
 
 
 def _prune(lhs, rhs, k_max, slack):

@@ -263,6 +263,37 @@ class TestCli:
         assert "lambda must be non-negative" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--data", "iris", "--repeats", "1", "--lambda", "nan"],
+        ["rates", "--n-grid", "256", "--reps", "2", "--n-test", "8", "--lambda", "inf"],
+    ])
+    def test_nonfinite_lambda_exits_one(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: lambda must be finite, got {argv[-1]}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("C", ["0", "-1"])
+    def test_theory_order_below_one_exits_one(self, capsys, C):
+        assert main(["theory", "--C", C]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --C must be at least 1 to fit the b_1 it checks, got {C}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("grid", ["0", "-5", "256,0"])
+    def test_rates_grid_below_one_exits_one(self, capsys, grid):
+        assert main(["rates", "--n-grid", grid, "--reps", "2"]) == 1
+        captured = capsys.readouterr()
+        low = min(int(v) for v in grid.split(","))
+        assert captured.err == f"error: --n-grid sizes must be at least 1, got {low}\n"
+        assert captured.out == ""
+
+    def test_rates_grid_not_integers_exits_one(self, capsys):
+        assert main(["rates", "--n-grid", "256,x", "--reps", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --n-grid must be a comma list of integers, got '256,x'\n"
+        assert captured.out == ""
+
     def test_weights_names_merged_scales(self, capsys):
         argv = ["weights", "--n", "100", "--d", "2", "--k-star", "3", "--C", "1"]
         assert main([*argv, "--V", "5"]) == 0

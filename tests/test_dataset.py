@@ -83,6 +83,30 @@ class TestLoadCsv:
             assert len({next(iter(v)) for v in ids.values()}) == m
 
 
+class TestOwnership:
+    """A Dataset copies its arrays: the caller's stay theirs, and no later
+    write through them reaches the instance (or its cached search operand)."""
+
+    def test_callers_array_stays_writeable(self):
+        points, labels = np.zeros((5, 2)), np.zeros(5, dtype=np.int64)
+        data = Dataset(points, labels, 1)
+        assert points.flags.writeable and labels.flags.writeable
+        assert data.points is not points and data.labels is not labels
+        assert not data.points.flags.writeable and not data.labels.flags.writeable
+        points[0, 0] = 1.0
+        assert data.points[0, 0] == 0.0
+
+    def test_write_through_a_base_array_does_not_reach_it(self):
+        big = np.zeros((10, 2))
+        data = Dataset(big[:5], np.zeros(5, dtype=np.int64), 1)
+        stats = NormStats(mean=big[5], scale=big[6])
+        big[0, 0] = 7.0
+        big[5:7] = 3.0
+        assert data.points[0, 0] == 0.0
+        np.testing.assert_array_equal(stats.mean, [0.0, 0.0])
+        np.testing.assert_array_equal(stats.scale, [0.0, 0.0])
+
+
 class TestNormalize:
     def test_two_point_column(self):
         data = Dataset(np.array([[0.0], [2.0]]), np.array([0, 1]), 2)

@@ -131,6 +131,15 @@ class TestFitExtrapolate:
         with pytest.raises(NumericalError):
             fit_extrapolate(np.ones((2, 1)), np.array([np.nan, 1.0]), 0.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_nonfinite_lambda_rejected(self, lam):
+        # NaN passes "lam < 0" and then takes the lam = 0 branch
+        design = np.vander(np.array([0.2, 0.5, 0.9]), N=2, increasing=True)
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            fit_extrapolate(design, np.full(3, 0.37), lam)
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            MsknnConfig(lam=lam)
+
 
 class TestImplicitWeights:
     def _instance(self, rng, n=None, d=None, V=5, C=2):

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from msknn.bench import METHODS, _class_cumsums, _estimates
 from msknn.dataset import Dataset, normalize
-from msknn.multiscale import select_ks
+from msknn.estimators import classify_multiclass, plugin_classify
+from msknn.multiscale import (
+    MsknnConfig,
+    build_design,
+    fit_extrapolate,
+    msknn_classify,
+    per_class_estimates,
+    select_ks,
+)
 from msknn import neighbors
 from msknn.neighbors import _COLUMNS_FROM, _squared_distances, knn_search, knn_search_batch
 from oracles import sort_oracle
@@ -347,3 +355,93 @@ class TestColumnSums:
         points, queries = rng.normal(size=(200, 10_000)), rng.normal(size=(4, 10_000))
         assert_matches_oracle(points, queries, 150)
         assert len(seen) == 4 and max(seen) <= 2_000_000
+
+
+def _drawn_dataset(draw, rng, n_min=1, m=2):
+    """Normal or integer-grid points, d from 1 to 10, a third of the rows
+    copies of others, labels in 0..m-1."""
+    d = draw(st.integers(1, 10))
+    n = draw(st.integers(n_min, 300))
+    if draw(st.booleans()):
+        points = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    else:
+        points = rng.normal(size=(n, d)) * draw(st.sampled_from([1.0, 1e-6, 1e6]))
+    dup = rng.integers(0, n, size=n // 3)
+    points[rng.integers(0, n, size=len(dup))] = points[dup]
+    labels = rng.integers(0, m, size=n)
+    labels[: min(m, n)] = np.arange(min(m, n))
+    return Dataset(points, labels, m)
+
+
+def _drawn_query(draw, rng, data):
+    """A training row (an exact tie at distance 0) or a point near the data."""
+    if draw(st.booleans()):
+        return data.points[rng.integers(0, data.n)].copy()
+    return data.points.mean(axis=0) + rng.normal(size=data.d) * (data.points.std() + 1.0)
+
+
+@st.composite
+def interleaved_searches(draw):
+    """Two Datasets and a run of (which, query, k_max) searches alternating
+    between them, with k_max anywhere from 1 to n."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = [_drawn_dataset(draw, rng), _drawn_dataset(draw, rng)]
+    searches = []
+    for _ in range(draw(st.integers(2, 8))):
+        which = draw(st.integers(0, 1))
+        n = sets[which].n
+        k_max = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+        searches.append((which, _drawn_query(draw, rng, sets[which]), k_max))
+    return sets, searches
+
+
+def _classify_from_array(data, query, cfg):
+    """msknn_classify's threshold or argmax, searched on a plain copy of the points."""
+    ks = select_ks(data.n, data.d, cfg.V)
+    nl = knn_search(data.points.copy(), query, ks[-1])
+    if data.m == 2:
+        design, phi = build_design(nl, data.labels == 1, ks, cfg)
+        return plugin_classify(fit_extrapolate(design, phi, cfg.lam).estimate)
+    return classify_multiclass(per_class_estimates(nl, data.labels, data.m, ks, cfg))
+
+
+class TestDatasetOperand:
+    """A Dataset keeps the operand of its first search; an array builds it
+    per call. Both must give the same bits."""
+
+    @settings(max_examples=150)
+    @given(interleaved_searches())
+    def test_cached_operand_matches_a_fresh_one(self, case):
+        sets, searches = case
+        for which, query, k_max in searches:
+            data = sets[which]
+            got = knn_search(data, query, k_max)
+            fresh = knn_search(data.points.copy(), query, k_max)
+            assert got.indices.tobytes() == fresh.indices.tobytes()
+            assert got.distances.tobytes() == fresh.distances.tobytes()
+            o_idx, o_dist = sort_oracle(data.points, query, k_max)
+            np.testing.assert_array_equal(got.indices, o_idx)
+            np.testing.assert_array_equal(got.distances, o_dist)
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.data())
+    def test_classify_matches_a_search_on_the_array(self, seed, m, data):
+        rng = np.random.default_rng(seed)
+        sets = [_drawn_dataset(data.draw, rng, n_min=40, m=m) for _ in range(2)]
+        cfg = MsknnConfig(V=3, C=1)
+        for which in data.draw(st.lists(st.integers(0, 1), min_size=2, max_size=6)):
+            query = _drawn_query(data.draw, rng, sets[which])
+            got = msknn_classify(sets[which], query, cfg)
+            assert got == _classify_from_array(sets[which], query, cfg)
+
+    def test_operand_is_built_once_and_read_only(self):
+        rng = np.random.default_rng(3)
+        data = Dataset(rng.normal(size=(50, 3)), np.zeros(50, dtype=np.int64), 1)
+        assert "_operand" not in vars(data)  # nothing is built before a search
+        knn_search(data, np.zeros(3), 5)
+        mean, rhs, _ = neighbors._operand(data)
+        knn_search_batch(data, rng.normal(size=(4, 3)), 7)
+        assert neighbors._operand(data)[1] is rhs
+        assert not mean.flags.writeable and not rhs.flags.writeable
+        np.testing.assert_array_equal(mean, neighbors._operand(data.points)[0])
+        np.testing.assert_array_equal(rhs, neighbors._operand(data.points)[1])
